@@ -118,7 +118,11 @@ def cmd_render(config: RunConfig) -> int:
             print(f"error: no matrix_*.json under {config.out_dir}", file=sys.stderr)
             return EXIT_INPUT
     for path in matrix_paths:
-        matrix = load_matrix(path.read_bytes())
+        try:
+            matrix = load_matrix(path.read_bytes())
+        except IngestError as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         svg_path = path.with_suffix(".svg")
         svg_path.write_text(render_svg(matrix), encoding="utf-8", newline="")
         print(f"render: {svg_path}")
@@ -175,10 +179,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         config.validate_thresholds()
         return _COMMANDS[args.command](config)
-    except (ConfigError, IngestError, EmptyInput, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (HttpError, PaginationLoop) as exc:
+    except (ConfigError, IngestError, EmptyInput, OSError, HttpError, PaginationLoop) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

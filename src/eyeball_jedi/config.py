@@ -12,7 +12,9 @@ import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+from .coverage import DEFAULT_CUMULATIVE_CAP, DEFAULT_PER_AS_FLOOR, check_thresholds
 from .errors import ConfigError
+from .fetch import DEFAULT_RATE_LIMIT
 
 _PATH_KEYS = {
     "population",
@@ -37,18 +39,18 @@ class RunConfig:
     geo: Path | None = None
     out_dir: Path = field(default_factory=lambda: Path("out"))
     country: str | None = None  # None means all countries
-    cumulative_cap: float = 0.95
-    per_as_floor: float = 0.01
+    cumulative_cap: float = DEFAULT_CUMULATIVE_CAP
+    per_as_floor: float = DEFAULT_PER_AS_FLOOR
     http_base_url: str | None = None
-    rate_limit: float = 4.0
+    rate_limit: float = DEFAULT_RATE_LIMIT
     credential_env: str | None = None
     measurement_ids: tuple[int, ...] = ()
 
     def validate_thresholds(self) -> None:
-        if not 0.0 < self.cumulative_cap <= 1.0:
-            raise ConfigError(f"cumulative_cap out of (0,1]: {self.cumulative_cap}")
-        if not 0.0 < self.per_as_floor <= 1.0:
-            raise ConfigError(f"per_as_floor out of (0,1]: {self.per_as_floor}")
+        try:
+            check_thresholds(self.cumulative_cap, self.per_as_floor)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.rate_limit <= 0:
             raise ConfigError(f"rate_limit must be positive: {self.rate_limit}")
 

@@ -57,6 +57,14 @@ class CoverageReport:
         }
 
 
+def check_thresholds(cumulative_cap: float, per_as_floor: float) -> None:
+    """Raise ValueError unless both selection thresholds lie in (0,1]."""
+    if not 0.0 < cumulative_cap <= 1.0:
+        raise ValueError(f"cumulative_cap out of (0,1]: {cumulative_cap}")
+    if not 0.0 < per_as_floor <= 1.0:
+        raise ValueError(f"per_as_floor out of (0,1]: {per_as_floor}")
+
+
 def select_dominant_networks(
     rows: Iterable[PopulationEstimateRow],
     country_users: int,
@@ -75,10 +83,7 @@ def select_dominant_networks(
     rows = list(rows)
     if not rows:
         raise EmptyInput("no population rows for selection")
-    if not 0.0 < cumulative_cap <= 1.0:
-        raise ValueError(f"cumulative_cap out of (0,1]: {cumulative_cap}")
-    if not 0.0 < per_as_floor <= 1.0:
-        raise ValueError(f"per_as_floor out of (0,1]: {per_as_floor}")
+    check_thresholds(cumulative_cap, per_as_floor)
     country = rows[0].country
     if any(r.country != country for r in rows):
         raise ValueError("selection rows span multiple countries")

@@ -54,6 +54,10 @@ class InvalidCountry(IngestError):
     pass
 
 
+class MalformedMatrix(IngestError):
+    """Valid JSON that does not describe a well-formed matrix."""
+
+
 class HttpError(Exception):
     """Non-success HTTP response."""
 

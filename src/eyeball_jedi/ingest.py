@@ -34,7 +34,7 @@ from .errors import (
     MissingField,
     RowParseError,
 )
-from .lpm import GeoTable, PrefixTable
+from .lpm import LpmTable
 from .model import (
     GeoPoint,
     HopResponse,
@@ -294,9 +294,9 @@ def parse_traceroute_results(
 
 def parse_prefix_table(
     data: str | bytes, errors: list[IngestError] | None = None
-) -> PrefixTable:
+) -> LpmTable:
     """Read prefix,origin_asn rows into a longest-prefix-match table."""
-    table = PrefixTable()
+    table = LpmTable()
     for lineno, (prefix, asn_raw) in _csv_rows(_text(data), "prefix,origin_asn", 2, errors):
         try:
             network = ipaddress.ip_network(prefix, strict=False)
@@ -314,9 +314,9 @@ def parse_prefix_table(
 
 def parse_geo_table(
     data: str | bytes, errors: list[IngestError] | None = None
-) -> GeoTable:
+) -> LpmTable:
     """Read prefix,country rows; '??' marks explicitly unknown geolocation."""
-    table = GeoTable()
+    table = LpmTable()
     for lineno, (prefix, country) in _csv_rows(_text(data), "prefix,country", 2, errors):
         try:
             network = ipaddress.ip_network(prefix, strict=False)
@@ -376,13 +376,13 @@ def format_traceroutes(traceroutes: list[Traceroute]) -> str:
     return "".join(json.dumps(traceroute_to_dict(t), separators=(",", ":")) + "\n" for t in traceroutes)
 
 
-def format_prefix_table(table: PrefixTable) -> str:
+def format_prefix_table(table: LpmTable) -> str:
     out = ["prefix,origin_asn"]
     out += [f"{net},{asn}" for net, asn in sorted(table.entries(), key=lambda e: (e[0].version, int(e[0].network_address), e[0].prefixlen))]
     return "\n".join(out) + "\n"
 
 
-def format_geo_table(table: GeoTable) -> str:
+def format_geo_table(table: LpmTable) -> str:
     out = ["prefix,country"]
     out += [
         f"{net},{GEO_UNKNOWN if country is None else country}"

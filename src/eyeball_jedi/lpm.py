@@ -14,6 +14,14 @@ _Network = ipaddress.IPv4Network | ipaddress.IPv6Network
 
 
 class LpmTable:
+    """IP prefix -> value, e.g. origin AS number or country code.
+
+    A stored None is a value like any other: the geo table stores it for
+    "geolocation unknown", and such an entry still wins longest-prefix
+    match, masking any broader prefix with a real country. So lookup()
+    returning None covers both "no entry" and "explicitly unknown".
+    """
+
     def __init__(self):
         # (version, prefixlen) -> {network int -> value}
         self._buckets: dict[tuple[int, int], dict[int, Any]] = {}
@@ -22,7 +30,8 @@ class LpmTable:
         self._size = 0
 
     def add(self, prefix: str | _Network, value: Any) -> None:
-        net = ipaddress.ip_network(prefix, strict=False)
+        """Store value under prefix; a string is parsed with host bits masked off."""
+        net = prefix if isinstance(prefix, _Network) else ipaddress.ip_network(prefix, strict=False)
         key = (net.version, net.prefixlen)
         bucket = self._buckets.get(key)
         if bucket is None:
@@ -59,15 +68,3 @@ class LpmTable:
     def __len__(self) -> int:
         return self._size
 
-
-class PrefixTable(LpmTable):
-    """IP prefix -> origin AS number."""
-
-
-class GeoTable(LpmTable):
-    """IP prefix -> country code; a stored None records "geolocation unknown".
-
-    An unknown entry still wins longest-prefix match, masking any broader
-    prefix with a real country, so lookup() returning None covers both
-    "no entry" and "explicitly unknown".
-    """

@@ -13,7 +13,7 @@ import json
 import math
 from typing import Mapping
 
-from .errors import UnknownAsnInVerdicts
+from .errors import JsonSyntaxError, MalformedMatrix, UnknownAsnInVerdicts
 from .model import (
     CellVerdict,
     DirectnessVerdict,
@@ -127,9 +127,15 @@ def format_matrix(matrix: EyeballMatrix) -> str:
 
 
 def load_matrix(text: str | bytes) -> EyeballMatrix:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    return EyeballMatrix.from_dict(json.loads(text))
+    """Read a format_matrix document; raise an IngestError if it is not one."""
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        return EyeballMatrix.from_dict(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise JsonSyntaxError(exc.msg, line=exc.lineno) from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedMatrix(f"not a matrix document: {exc!r}") from exc
 
 
 def format_metrics_csv(metrics: MetricsSummary) -> str:

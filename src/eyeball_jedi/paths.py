@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import EmptyTraceroute
-from .lpm import GeoTable, PrefixTable
+from .lpm import LpmTable
 from .model import (
     CellVerdict,
     Directness,
@@ -25,21 +25,9 @@ from .model import (
 )
 
 
-class UnknownHopMarker:
-    """Placeholder for a responding hop whose AS could not be mapped."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "?"
-
-
-UNKNOWN_HOP = UnknownHopMarker()
+#: Placeholder for a hop whose AS is unknown: an unmapped address (what
+#: LpmTable.lookup returns for it) or a hop with no response at all.
+UNKNOWN_HOP = None
 
 
 def is_public_address(address: str) -> bool:
@@ -64,40 +52,13 @@ class AsPath:
         object.__setattr__(self, "sequence", tuple(self.sequence))
 
     def has_unknown(self) -> bool:
-        return any(isinstance(e, UnknownHopMarker) for e in self.sequence)
+        return UNKNOWN_HOP in self.sequence
 
     def asn_elements(self) -> list[int]:
-        return [e for e in self.sequence if isinstance(e, int)]
+        return [e for e in self.sequence if e is not UNKNOWN_HOP]
 
 
-def _normalize(elements: list) -> list:
-    """Collapse duplicates and swallow unknowns between equal ASes, to fixpoint."""
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        for elem in elements:
-            if out and (
-                out[-1] == elem
-                or (isinstance(out[-1], UnknownHopMarker) and isinstance(elem, UnknownHopMarker))
-            ):
-                changed = True
-                continue
-            out.append(elem)
-        for i in range(1, len(out) - 1):
-            if (
-                isinstance(out[i], UnknownHopMarker)
-                and isinstance(out[i - 1], int)
-                and out[i - 1] == out[i + 1]
-            ):
-                del out[i]
-                changed = True
-                break
-        elements = out
-    return elements
-
-
-def extract_as_path(tr: Traceroute, prefix_table: PrefixTable) -> AsPath:
+def extract_as_path(tr: Traceroute, prefix_table: LpmTable) -> AsPath:
     """Derive the AS-level path of a traceroute.
 
     Per hop, the first non-timeout response address is mapped through the
@@ -116,14 +77,13 @@ def extract_as_path(tr: Traceroute, prefix_table: PrefixTable) -> AsPath:
             continue
         if not is_public_address(address):
             continue
-        asn = prefix_table.lookup(address)
-        elements.append(asn if asn is not None else UNKNOWN_HOP)
+        elements.append(prefix_table.lookup(address))
     if elements[-1] != tr.dst_asn:
         elements.append(tr.dst_asn)
-    return AsPath(tuple(_normalize(elements)))
+    return normalize_path(elements)
 
 
-def classify_locality(tr: Traceroute, geo_table: GeoTable, country: str) -> Locality:
+def classify_locality(tr: Traceroute, geo_table: LpmTable, country: str) -> Locality:
     """In/out-of-country from hop geolocations.
 
     A single hop geolocated abroad witnesses the path leaving the country;
@@ -159,7 +119,7 @@ def classify_directness(path: AsPath, src_asn: int, dst_asn: int) -> Directness:
 
 
 def classify_traceroute(
-    tr: Traceroute, prefix_table: PrefixTable, geo_table: GeoTable, country: str
+    tr: Traceroute, prefix_table: LpmTable, geo_table: LpmTable, country: str
 ) -> PathClassification:
     path = extract_as_path(tr, prefix_table)
     return PathClassification(
@@ -213,6 +173,19 @@ def classify_pair(
     return CellVerdict(src_asn, dst_asn, locality, directness, area_weight, evidence)
 
 
-def normalize_path(elements: Sequence) -> AsPath:
-    """Build an AsPath from raw elements, applying the normalization rules."""
-    return AsPath(tuple(_normalize(list(elements))))
+def normalize_path(elements: Iterable) -> AsPath:
+    """Build an AsPath from raw elements in one pass over an output stack.
+
+    An element equal to the top of the stack is dropped; an AS number that
+    follows a marker which follows that same AS drops the marker and
+    itself (the gap belongs to the surrounding AS); anything else is pushed.
+    """
+    out: list = []
+    for elem in elements:
+        if out and out[-1] == elem:
+            continue
+        if out[-2:] == [elem, UNKNOWN_HOP]:
+            out.pop()
+            continue
+        out.append(elem)
+    return AsPath(tuple(out))

@@ -35,7 +35,7 @@ from .ingest import (
     parse_probe_inventory,
     parse_traceroute_results,
 )
-from .lpm import GeoTable, PrefixTable
+from .lpm import LpmTable
 from .matrix import (
     build_matrix,
     compute_metrics,
@@ -67,8 +67,8 @@ class Workspace:
     users: dict[str, int]
     capitals: dict[str, GeoPoint]
     probes: list[Probe] = field(default_factory=list)
-    prefix_table: PrefixTable | None = None
-    geo_table: GeoTable | None = None
+    prefix_table: LpmTable | None = None
+    geo_table: LpmTable | None = None
     traceroutes: list[Traceroute] = field(default_factory=list)
 
 
@@ -118,14 +118,18 @@ def countries_for_run(config: RunConfig, ws: Workspace) -> list[str]:
 
 
 def eyeball_set_for(config: RunConfig, ws: Workspace, country: str) -> EyeballSet:
+    """The country's dominant networks; bad population shares are an input error."""
     rows = [row for row in ws.population if row.country == country]
-    return select_dominant_networks(
-        rows,
-        ws.users[country],
-        ws.capitals[country],
-        cumulative_cap=config.cumulative_cap,
-        per_as_floor=config.per_as_floor,
-    )
+    try:
+        return select_dominant_networks(
+            rows,
+            ws.users[country],
+            ws.capitals[country],
+            cumulative_cap=config.cumulative_cap,
+            per_as_floor=config.per_as_floor,
+        )
+    except ValueError as exc:
+        raise IngestError(f"population input for {country}: {exc}") from exc
 
 
 def in_country_probes(ws: Workspace, country: str) -> list[Probe]:
@@ -202,8 +206,8 @@ def gather_evidence(
     traceroutes: list[Traceroute],
     eyeball_set: EyeballSet,
     selection: ProbeSelection,
-    prefix_table: PrefixTable,
-    geo_table: GeoTable,
+    prefix_table: LpmTable,
+    geo_table: LpmTable,
 ) -> tuple[dict[tuple[int, int], list[tuple[str, PathClassification]]], list[str], int]:
     """Match traceroutes to the selection and classify each admissible one.
 

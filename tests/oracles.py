@@ -57,6 +57,30 @@ def linear_lpm(entries: list[tuple[str, object]], address: str):
     return linear_lpm_parsed(parsed_entries(entries), address)
 
 
+def fixpoint_normalize(elements: list, marker=None) -> list:
+    """AS-path normalization by whole passes repeated until nothing changes.
+
+    Each pass collapses adjacent equal elements, then deletes the first
+    marker that sits between two equal AS numbers.
+    """
+    changed = True
+    while changed:
+        changed = False
+        out = []
+        for elem in elements:
+            if out and out[-1] == elem:
+                changed = True
+                continue
+            out.append(elem)
+        for i in range(1, len(out) - 1):
+            if out[i] is marker and out[i - 1] is not marker and out[i - 1] == out[i + 1]:
+                del out[i]
+                changed = True
+                break
+        elements = out
+    return elements
+
+
 def metrics_double_loop(fractions: list[float], cells: dict) -> dict[str, float]:
     """Recompute category areas by enumerating all n*n pairs directly.
 

@@ -29,7 +29,7 @@ from eyeball_jedi.cli import EXIT_OK, main
 from eyeball_jedi.config import RunConfig
 from eyeball_jedi.coverage import select_dominant_networks
 from eyeball_jedi.ingest import PopulationEstimateRow
-from eyeball_jedi.lpm import PrefixTable
+from eyeball_jedi.lpm import LpmTable
 from eyeball_jedi.matrix import build_matrix, compute_metrics
 from eyeball_jedi.model import (
     CellVerdict,
@@ -172,7 +172,7 @@ def test_criterion_3_longest_prefix_match():
     for _ in range(100):
         nets, v6 = _random_prefix_table(rng)
         entries = [(str(net), value) for net, value in nets.items()]
-        table = PrefixTable()
+        table = LpmTable()
         for prefix, value in entries:
             table.add(prefix, value)
         parsed = parsed_entries(entries)

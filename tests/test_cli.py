@@ -205,6 +205,14 @@ class TestRenderCommand:
         assert main(["render", "--config", str(conf), "--country", "XX"]) == EXIT_INPUT
         assert "matrix_XX.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['{"country": "XX", "cells": [', '{"country": "XX"}'])
+    def test_corrupt_matrix_is_an_input_error(self, conf, out_dir, capsys, text):
+        out_dir.mkdir(parents=True)
+        (out_dir / "matrix_XX.json").write_text(text, encoding="utf-8")
+        assert main(["render", "--config", str(conf), "--country", "XX"]) == EXIT_INPUT
+        assert "matrix_XX.json" in capsys.readouterr().err
+        assert not (out_dir / "matrix_XX.svg").exists()
+
     def test_all_with_empty_directory(self, conf, out_dir, capsys):
         out_dir.mkdir(parents=True)
         assert main(["render", "--config", str(conf), "--all"]) == EXIT_INPUT
@@ -274,6 +282,16 @@ class TestErrorHandling:
         conf = write_conf(tmp_path, fixtures_dir, out_dir, traceroutes=None)
         assert main(["analyze", "--config", str(conf), "--country", "XX"]) == EXIT_INPUT
         assert "traceroutes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["coverage", "plan", "analyze"])
+    def test_population_over_100_percent(self, tmp_path, fixtures_dir, out_dir, capsys, command):
+        population = tmp_path / "population.csv"
+        text = (fixtures_dir / "population.csv").read_text(encoding="utf-8")
+        population.write_text(text.replace("XX,65001,40.0", "XX,65001,99.0"), encoding="utf-8")
+        conf = write_conf(tmp_path, fixtures_dir, out_dir, population=population)
+        assert main([command, "--config", str(conf), "--country", "XX"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "XX" in err and "100%" in err
 
     def test_bad_cap_override(self, conf, capsys):
         assert main(["coverage", "--config", str(conf), "--all", "--cap", "1.5"]) == EXIT_INPUT

@@ -1,3 +1,5 @@
+import ipaddress
+
 import pytest
 
 from eyeball_jedi.errors import (
@@ -212,6 +214,23 @@ class TestTables:
     def test_invalid_asn(self):
         with pytest.raises(InvalidAsn):
             parse_prefix_table("prefix,origin_asn\n20.1.0.0/16,0\n")
+
+    def test_bad_cidr_reported_before_bad_asn(self):
+        with pytest.raises(InvalidCidr):
+            parse_prefix_table("prefix,origin_asn\nnot-a-prefix,0\n")
+
+    def test_each_prefix_row_parsed_once(self, monkeypatch):
+        parsed = []
+        real = ipaddress.ip_network
+
+        def counting(*args, **kwargs):
+            parsed.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ipaddress, "ip_network", counting)
+        parse_prefix_table("prefix,origin_asn\n20.1.0.0/16,65001\n20.1.128.0/17,65002\n")
+        parse_geo_table("prefix,country\n20.0.0.0/8,XX\n20.6.0.0/16,??\n")
+        assert parsed == ["20.1.0.0/16", "20.1.128.0/17", "20.0.0.0/8", "20.6.0.0/16"]
 
     def test_geo_unknown_marker_stored_as_none(self):
         table = parse_geo_table("prefix,country\n20.0.0.0/8,XX\n20.6.0.0/16,??\n")

@@ -1,46 +1,46 @@
 import ipaddress
 import random
 
-from eyeball_jedi.lpm import GeoTable, LpmTable, PrefixTable
+from eyeball_jedi.lpm import LpmTable
 
 from oracles import linear_lpm
 
 
 class TestLookup:
     def test_longer_prefix_wins(self):
-        table = PrefixTable()
+        table = LpmTable()
         table.add("1.0.0.0/8", "A")
         table.add("1.2.0.0/16", "B")
         assert table.lookup("1.2.3.4") == "B"
         assert table.lookup("1.3.3.4") == "A"
 
     def test_no_containing_prefix_is_none(self):
-        table = PrefixTable()
+        table = LpmTable()
         table.add("1.0.0.0/8", "A")
         table.add("1.2.0.0/16", "B")
         assert table.lookup("9.9.9.9") is None
 
     def test_host_route(self):
-        table = PrefixTable()
+        table = LpmTable()
         table.add("10.0.0.0/8", 1)
         table.add("10.1.2.3/32", 2)
         assert table.lookup("10.1.2.3") == 2
         assert table.lookup("10.1.2.4") == 1
 
     def test_default_route(self):
-        table = PrefixTable()
+        table = LpmTable()
         table.add("0.0.0.0/0", 99)
         assert table.lookup("203.0.113.5") == 99
 
     def test_same_prefix_overwrites(self):
-        table = PrefixTable()
+        table = LpmTable()
         table.add("10.0.0.0/8", 1)
         table.add("10.0.0.0/8", 2)
         assert table.lookup("10.1.1.1") == 2
         assert len(table) == 1
 
     def test_ipv6(self):
-        table = PrefixTable()
+        table = LpmTable()
         table.add("2001:db8::/32", 1)
         table.add("2001:db8:1::/48", 2)
         assert table.lookup("2001:db8:1::5") == 2
@@ -48,20 +48,20 @@ class TestLookup:
         assert table.lookup("2001:db9::1") is None
 
     def test_families_do_not_mix(self):
-        table = PrefixTable()
+        table = LpmTable()
         table.add("0.0.0.0/0", "v4")
         assert table.lookup("::1") is None
 
     def test_host_form_normalized(self):
         # non-strict parsing: host bits are masked off
-        table = PrefixTable()
+        table = LpmTable()
         table.add("10.1.2.3/8", 1)
         assert table.lookup("10.200.0.1") == 1
 
 
 class TestGeoTableSemantics:
     def test_unknown_masks_broader_country(self):
-        table = GeoTable()
+        table = LpmTable()
         table.add("20.0.0.0/8", "XX")
         table.add("20.6.0.0/16", None)
         assert table.lookup("20.1.0.1") == "XX"
@@ -83,7 +83,7 @@ class TestOracleAgreement:
         rng = random.Random(20210)
         for _ in range(10):
             entries = []
-            table = PrefixTable()
+            table = LpmTable()
             for _ in range(rng.randrange(1, 80)):
                 base = f"{rng.randrange(1, 224)}.{rng.randrange(0, 256)}.0.0"
                 plen = rng.choice([8, 12, 16, 20, 24, 28, 32])

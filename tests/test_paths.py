@@ -5,7 +5,7 @@ import random
 import pytest
 
 from eyeball_jedi.errors import EmptyTraceroute
-from eyeball_jedi.lpm import GeoTable, PrefixTable
+from eyeball_jedi.lpm import LpmTable
 from eyeball_jedi.model import (
     Directness,
     DirectnessVerdict,
@@ -16,10 +16,11 @@ from eyeball_jedi.model import (
     Traceroute,
     TracerouteHop,
 )
+from oracles import fixpoint_normalize
+
 from eyeball_jedi.paths import (
     UNKNOWN_HOP,
     AsPath,
-    UnknownHopMarker,
     classify_directness,
     classify_locality,
     classify_pair,
@@ -43,7 +44,7 @@ ADDR_FOREIGN = "20.8.0.9"
 
 
 def make_prefix_table():
-    table = PrefixTable()
+    table = LpmTable()
     table.add("20.1.0.0/16", A)
     table.add("20.2.0.0/16", B)
     table.add("20.3.0.0/16", C)
@@ -52,7 +53,7 @@ def make_prefix_table():
 
 
 def make_geo_table():
-    table = GeoTable()
+    table = LpmTable()
     table.add("20.1.0.0/16", "XX")
     table.add("20.2.0.0/16", "XX")
     table.add("20.3.0.0/16", "XX")
@@ -107,14 +108,6 @@ class TestIsPublicAddress:
     )
     def test_classification(self, address, expected):
         assert is_public_address(address) is expected
-
-
-class TestUnknownHopMarker:
-    def test_singleton(self):
-        assert UnknownHopMarker() is UNKNOWN_HOP
-
-    def test_repr(self):
-        assert repr(UNKNOWN_HOP) == "?"
 
 
 class TestExtractAsPath:
@@ -196,6 +189,14 @@ class TestNormalizePath:
     def test_mixed_collapse_chain(self):
         path = normalize_path([A, A, UNKNOWN_HOP, UNKNOWN_HOP, A, B, B])
         assert path.sequence == (A, B)
+
+    @pytest.mark.parametrize("alphabet", [(A, B, UNKNOWN_HOP), (A, B, C, UNKNOWN_HOP)])
+    def test_agrees_with_fixpoint_oracle(self, alphabet):
+        rng = random.Random(4242)
+        for _ in range(5000):
+            seq = [rng.choice(alphabet) for _ in range(rng.randint(0, 12))]
+            want = tuple(fixpoint_normalize(seq, marker=UNKNOWN_HOP))
+            assert normalize_path(seq).sequence == want, seq
 
     def test_asn_elements_filters_markers(self):
         path = AsPath((A, UNKNOWN_HOP, B))
