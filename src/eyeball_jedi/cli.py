@@ -22,13 +22,11 @@ from typing import Sequence
 
 from . import pipeline
 from .config import RunConfig, apply_overrides, load_config
-from .coverage import compute_probe_coverage
 from .errors import ConfigError, EmptyInput, HttpError, IngestError, PaginationLoop
 from .fetch import HttpClient, fetch_measurement_results, fetch_probe_inventory
 from .ingest import format_probes, format_traceroutes
 from .matrix import load_matrix
 from .render import render_svg
-from .selection import select_probes
 
 log = logging.getLogger(__name__)
 
@@ -64,41 +62,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_coverage(config: RunConfig) -> int:
-    ws = pipeline.load_workspace(config, with_probes=True)
-    reports = []
-    for country in pipeline.countries_for_run(config, ws):
-        eyeball_set = pipeline.eyeball_set_for(config, ws, country)
-        probes = pipeline.in_country_probes(ws, country)
-        reports.append(compute_probe_coverage(eyeball_set, probes))
-    pipeline.write_coverage_outputs(config.out_dir, reports)
-    print(f"coverage: {len(reports)} countries -> {config.out_dir}")
+    scopes = pipeline.build_scopes(config, pipeline.load_workspace(config))
+    pipeline.write_coverage_outputs(config.out_dir, [scope.coverage for scope in scopes])
+    print(f"coverage: {len(scopes)} countries -> {config.out_dir}")
     return EXIT_OK
 
 
 def cmd_plan(config: RunConfig) -> int:
-    ws = pipeline.load_workspace(config, with_probes=True)
-    for country in pipeline.countries_for_run(config, ws):
-        eyeball_set = pipeline.eyeball_set_for(config, ws, country)
-        probes = pipeline.in_country_probes(ws, country)
-        selection = select_probes(eyeball_set, probes)
-        tasks = pipeline.build_plan(eyeball_set, selection)
-        pipeline.write_plan_outputs(config.out_dir, country, eyeball_set, selection, tasks)
-        print(f"plan: {country} {len(tasks)} tasks -> {config.out_dir}")
+    for scope in pipeline.build_scopes(config, pipeline.load_workspace(config)):
+        tasks = pipeline.build_plan(scope.eyeball_set, scope.selection)
+        pipeline.write_plan_outputs(config.out_dir, scope, tasks)
+        print(f"plan: {scope.country} {len(tasks)} tasks -> {config.out_dir}")
     return EXIT_OK
 
 
 def cmd_analyze(config: RunConfig) -> int:
-    ws = pipeline.load_workspace(
-        config, with_probes=True, with_tables=True, with_traceroutes=True
-    )
+    ws = pipeline.load_workspace(config, with_traceroutes=True)
+    scopes = pipeline.build_scopes(config, ws)
+    runs = pipeline.runs_by_country(scopes, ws.traceroutes)
     total_matched = 0
-    for country in pipeline.countries_for_run(config, ws):
-        result = pipeline.analyze_country(config, ws, country)
+    for scope in scopes:
+        result = pipeline.analyze_country(scope, runs[scope.country], ws)
         for warning in result.warnings:
-            log.warning("%s: %s", country, warning)
+            log.warning("%s: %s", scope.country, warning)
         pipeline.write_analysis_outputs(config.out_dir, result)
         total_matched += result.matched_traceroutes
-        print(f"analyze: {country} {result.matched_traceroutes} traceroutes matched")
+        print(f"analyze: {scope.country} {result.matched_traceroutes} traceroutes matched")
     if total_matched == 0:
         print("error: no traceroutes matched any probe selection", file=sys.stderr)
         return EXIT_NO_DATA

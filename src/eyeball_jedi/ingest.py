@@ -1,4 +1,4 @@
-"""Parsers and writers for every external dataset the pipeline consumes.
+"""Parsers for every external dataset the pipeline consumes.
 
 All formats are project-defined flat files (see README): CSV tables for
 population shares, country user counts, prefix-to-AS and prefix-to-country
@@ -8,8 +8,9 @@ newline-delimited JSON for traceroute results.
 Each parser raises on the first bad record by default. Passing a list as
 ``errors`` switches it to collect mode: record-level problems are appended
 to that list and parsing continues (structural problems such as a bad
-header still raise). Matching ``format_*`` writers exist for every format;
-``parse(format(x)) == x`` for well-formed values.
+header still raise). Input that is not UTF-8 is an IngestError naming the
+first bad byte. The probe and traceroute formats also have ``format_*``
+writers, for fetch; ``parse(format(x)) == x`` for well-formed values.
 """
 
 from __future__ import annotations
@@ -64,7 +65,12 @@ class CountryUsersRow:
 
 
 def _text(data: str | bytes) -> str:
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"not UTF-8: byte offset {exc.start}") from exc
 
 
 def _report(err: IngestError, errors: list[IngestError] | None) -> None:
@@ -356,42 +362,9 @@ def parse_capitals(
 
 # --- writers ---------------------------------------------------------------
 
-def format_population(rows: list[PopulationEstimateRow]) -> str:
-    out = ["country,asn,fraction_percent"]
-    out += [f"{r.country},{r.asn},{r.fraction_percent!r}" for r in rows]
-    return "\n".join(out) + "\n"
-
-
-def format_country_users(users: dict[str, int]) -> str:
-    out = ["country,internet_users"]
-    out += [f"{country},{users[country]}" for country in sorted(users)]
-    return "\n".join(out) + "\n"
-
-
 def format_probes(probes: list[Probe]) -> str:
     return json.dumps([probe_to_dict(p) for p in probes], indent=2) + "\n"
 
 
 def format_traceroutes(traceroutes: list[Traceroute]) -> str:
     return "".join(json.dumps(traceroute_to_dict(t), separators=(",", ":")) + "\n" for t in traceroutes)
-
-
-def format_prefix_table(table: LpmTable) -> str:
-    out = ["prefix,origin_asn"]
-    out += [f"{net},{asn}" for net, asn in sorted(table.entries(), key=lambda e: (e[0].version, int(e[0].network_address), e[0].prefixlen))]
-    return "\n".join(out) + "\n"
-
-
-def format_geo_table(table: LpmTable) -> str:
-    out = ["prefix,country"]
-    out += [
-        f"{net},{GEO_UNKNOWN if country is None else country}"
-        for net, country in sorted(table.entries(), key=lambda e: (e[0].version, int(e[0].network_address), e[0].prefixlen))
-    ]
-    return "\n".join(out) + "\n"
-
-
-def format_capitals(capitals: dict[str, GeoPoint]) -> str:
-    out = ["country,latitude,longitude"]
-    out += [f"{cc},{capitals[cc].latitude!r},{capitals[cc].longitude!r}" for cc in sorted(capitals)]
-    return "\n".join(out) + "\n"

@@ -8,7 +8,7 @@ first bucket hit. Re-adding an identical prefix overwrites its value.
 from __future__ import annotations
 
 import ipaddress
-from typing import Any, Iterator
+from typing import Any
 
 _Network = ipaddress.IPv4Network | ipaddress.IPv6Network
 
@@ -56,15 +56,5 @@ class LpmTable:
                 return bucket[masked]
         return None
 
-    def entries(self) -> Iterator[tuple[_Network, Any]]:
-        for (version, plen), bucket in self._buckets.items():
-            for net_int, value in bucket.items():
-                if version == 4:
-                    net = ipaddress.IPv4Network((net_int, plen))
-                else:
-                    net = ipaddress.IPv6Network((net_int, plen))
-                yield net, value
-
     def __len__(self) -> int:
         return self._size
-

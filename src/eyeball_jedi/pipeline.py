@@ -1,10 +1,11 @@
-"""Per-country orchestration from parsed inputs to output artifacts.
+"""Orchestration from parsed inputs to per-country output artifacts.
 
 This module owns the glue: which probes count as in-country, which
 ordered AS pairs become measurement tasks, which traceroutes are
 admissible evidence for which cell, and the exact bytes of every
-artifact written under the output directory. Commands in cli.py are
-thin wrappers over these functions.
+artifact written under the output directory. Every command loads the
+inputs once and builds all countries' scopes before it writes anything;
+commands in cli.py are short loops over those scopes.
 """
 
 from __future__ import annotations
@@ -66,89 +67,116 @@ class Workspace:
     population: list[PopulationEstimateRow]
     users: dict[str, int]
     capitals: dict[str, GeoPoint]
-    probes: list[Probe] = field(default_factory=list)
+    probes: list[Probe]
     prefix_table: LpmTable | None = None
     geo_table: LpmTable | None = None
     traceroutes: list[Traceroute] = field(default_factory=list)
 
 
-def load_workspace(
-    config: RunConfig,
-    with_probes: bool = False,
-    with_tables: bool = False,
-    with_traceroutes: bool = False,
-) -> Workspace:
-    config.require_inputs("population", "country_users", "capitals")
+def load_workspace(config: RunConfig, with_traceroutes: bool = False) -> Workspace:
+    """Parse the inputs; traceroutes come with both tables they are read against."""
+    config.require_inputs("population", "country_users", "capitals", "probes")
     ws = Workspace(
         population=parse_population_estimates(config.population.read_bytes()),
         users=parse_country_users(config.country_users.read_bytes()),
         capitals=parse_capitals(config.capitals.read_bytes()),
+        probes=parse_probe_inventory(config.probes.read_bytes()),
     )
-    if with_probes:
-        config.require_inputs("probes")
-        ws.probes = parse_probe_inventory(config.probes.read_bytes())
-    if with_tables:
-        config.require_inputs("prefix2as", "geo")
+    if with_traceroutes:
+        config.require_inputs("prefix2as", "geo", "traceroutes")
         ws.prefix_table = parse_prefix_table(config.prefix2as.read_bytes())
         ws.geo_table = parse_geo_table(config.geo.read_bytes())
+        ws.traceroutes = parse_traceroute_results(config.traceroutes.read_bytes())
     elif config.geo is not None and config.geo.is_file():
         # Optional for coverage/plan: used to keep only in-country probes.
         ws.geo_table = parse_geo_table(config.geo.read_bytes())
-    if with_traceroutes:
-        config.require_inputs("traceroutes")
-        ws.traceroutes = parse_traceroute_results(config.traceroutes.read_bytes())
     return ws
 
 
-def available_countries(ws: Workspace) -> list[str]:
-    present = {row.country for row in ws.population}
-    return sorted(present & ws.users.keys() & ws.capitals.keys())
+def in_country_probes(ws: Workspace, countries: list[str]) -> dict[str, list[Probe]]:
+    """Selectable probes located in each of the countries.
 
-
-def countries_for_run(config: RunConfig, ws: Workspace) -> list[str]:
-    known = available_countries(ws)
-    if config.country is None:
-        return known
-    if config.country not in known:
-        raise ConfigError(
-            f"unknown country {config.country!r}: not present in population, "
-            "user-count and capital inputs"
-        )
-    return [config.country]
-
-
-def eyeball_set_for(config: RunConfig, ws: Workspace, country: str) -> EyeballSet:
-    """The country's dominant networks; bad population shares are an input error."""
-    rows = [row for row in ws.population if row.country == country]
-    try:
-        return select_dominant_networks(
-            rows,
-            ws.users[country],
-            ws.capitals[country],
-            cumulative_cap=config.cumulative_cap,
-            per_as_floor=config.per_as_floor,
-        )
-    except ValueError as exc:
-        raise IngestError(f"population input for {country}: {exc}") from exc
-
-
-def in_country_probes(ws: Workspace, country: str) -> list[Probe]:
-    """Selectable probes located in the country.
-
-    Location is decided by geolocating the probe's public address when a
-    geo table is loaded. Without one, AS membership is the only signal we
-    have, so every selectable probe passes and the caller's per-AS filter
-    does the rest.
+    Each probe's public address is geolocated once when a geo table is
+    loaded. Without one, AS membership is the only signal we have, so
+    every selectable probe goes to every country and the per-AS filters
+    downstream do the rest.
     """
-    kept = []
-    for probe in ws.probes:
-        if not probe.selectable:
-            continue
-        if ws.geo_table is not None:
-            if ws.geo_table.lookup(probe.public_address_v4) != country:
-                continue
-        kept.append(probe)
-    return kept
+    selectable = [probe for probe in ws.probes if probe.selectable]
+    if ws.geo_table is None:
+        return {country: selectable for country in countries}
+    located: dict[str, list[Probe]] = {country: [] for country in countries}
+    for probe in selectable:
+        country = ws.geo_table.lookup(probe.public_address_v4)
+        if country in located:
+            located[country].append(probe)
+    return located
+
+
+@dataclass(frozen=True)
+class CountryScope:
+    """A country's networks and probes: what every command starts from."""
+
+    country: str
+    eyeball_set: EyeballSet
+    coverage: CoverageReport
+    selection: ProbeSelection
+
+
+def build_scopes(config: RunConfig, ws: Workspace) -> list[CountryScope]:
+    """The scope of the configured country, or of every country in the inputs.
+
+    All scopes are built before anything is written, so an unknown country
+    or population shares over 100% in any country fail the whole run.
+    """
+    rows: dict[str, list[PopulationEstimateRow]] = {}
+    for row in ws.population:
+        rows.setdefault(row.country, []).append(row)
+    countries = sorted(rows.keys() & ws.users.keys() & ws.capitals.keys())
+    if config.country is not None:
+        if config.country not in countries:
+            raise ConfigError(
+                f"unknown country {config.country!r}: not present in population, "
+                "user-count and capital inputs"
+            )
+        countries = [config.country]
+    probes = in_country_probes(ws, countries)
+    scopes = []
+    for country in countries:
+        try:
+            eyeball_set = select_dominant_networks(
+                rows[country],
+                ws.users[country],
+                ws.capitals[country],
+                cumulative_cap=config.cumulative_cap,
+                per_as_floor=config.per_as_floor,
+            )
+        except ValueError as exc:
+            raise IngestError(f"population input for {country}: {exc}") from exc
+        coverage = compute_probe_coverage(eyeball_set, probes[country])
+        selection = select_probes(eyeball_set, probes[country])
+        scopes.append(CountryScope(country, eyeball_set, coverage, selection))
+    return scopes
+
+
+def runs_by_country(
+    scopes: list[CountryScope], traceroutes: list[Traceroute]
+) -> dict[str, list[Traceroute]]:
+    """Hand each run, in file order, to the countries it concerns.
+
+    A run concerns the countries whose eyeball sets hold its source or
+    destination AS. A run that no set holds goes to every country, so
+    each of them reports it as skipped.
+    """
+    owners: dict[int, list[str]] = {}
+    for scope in scopes:
+        for asn in scope.eyeball_set.asns:
+            owners.setdefault(asn, []).append(scope.country)
+    runs: dict[str, list[Traceroute]] = {scope.country: [] for scope in scopes}
+    for tr in traceroutes:
+        concerned = dict.fromkeys(owners.get(tr.src_asn, []) + owners.get(tr.dst_asn, []))
+        for country in concerned or runs:
+            runs[country].append(tr)
+    return runs
 
 
 @dataclass(frozen=True)
@@ -202,10 +230,8 @@ def format_plan(country: str, tasks: list[PlanTask]) -> str:
 
 
 def gather_evidence(
-    country: str,
+    scope: CountryScope,
     traceroutes: list[Traceroute],
-    eyeball_set: EyeballSet,
-    selection: ProbeSelection,
     prefix_table: LpmTable,
     geo_table: LpmTable,
 ) -> tuple[dict[tuple[int, int], list[tuple[str, PathClassification]]], list[str], int]:
@@ -214,7 +240,8 @@ def gather_evidence(
     Returns per-pair evidence sorted by measurement id, human-readable
     warnings for everything skipped, and the count of matched runs.
     """
-    member_asns = eyeball_set.asns
+    member_asns = scope.eyeball_set.asns
+    selection = scope.selection
     evidence: dict[tuple[int, int], list[tuple[str, PathClassification]]] = {}
     warnings: list[str] = []
     matched = 0
@@ -238,7 +265,10 @@ def gather_evidence(
                 "are not the selected pair"
             )
             continue
-        cls = classify_traceroute(tr, prefix_table, geo_table, country)
+        if not tr.hops:
+            warnings.append(f"{tr.measurement_id}: skipped, no hops")
+            continue
+        cls = classify_traceroute(tr, prefix_table, geo_table, scope.country)
         evidence.setdefault(pair, []).append((tr.measurement_id, cls))
         matched += 1
     for runs in evidence.values():
@@ -248,10 +278,7 @@ def gather_evidence(
 
 @dataclass
 class CountryAnalysis:
-    country: str
-    eyeball_set: EyeballSet
-    coverage: CoverageReport
-    selection: ProbeSelection
+    scope: CountryScope
     matrix: EyeballMatrix
     metrics: MetricsSummary
     report_text: str
@@ -259,14 +286,13 @@ class CountryAnalysis:
     matched_traceroutes: int
 
 
-def analyze_country(config: RunConfig, ws: Workspace, country: str) -> CountryAnalysis:
-    eyeball_set = eyeball_set_for(config, ws, country)
-    probes = in_country_probes(ws, country)
-    coverage = compute_probe_coverage(eyeball_set, probes)
-    selection = select_probes(eyeball_set, probes)
+def analyze_country(
+    scope: CountryScope, traceroutes: list[Traceroute], ws: Workspace
+) -> CountryAnalysis:
     evidence, warnings, matched = gather_evidence(
-        country, ws.traceroutes, eyeball_set, selection, ws.prefix_table, ws.geo_table
+        scope, traceroutes, ws.prefix_table, ws.geo_table
     )
+    eyeball_set = scope.eyeball_set
     # Pairs without evidence fall back inside build_matrix (Undetermined
     # when both sides have probes, NoCoverage otherwise).
     verdicts: dict[tuple[int, int], CellVerdict] = {
@@ -279,20 +305,10 @@ def analyze_country(config: RunConfig, ws: Workspace, country: str) -> CountryAn
         )
         for (src, dst), runs in evidence.items()
     }
-    matrix = build_matrix(eyeball_set, selection, verdicts, generated_at=time.time())
+    matrix = build_matrix(eyeball_set, scope.selection, verdicts, generated_at=time.time())
     metrics = compute_metrics(matrix)
     report_text = "\n".join(summarize(matrix, metrics)) + "\n"
-    return CountryAnalysis(
-        country,
-        eyeball_set,
-        coverage,
-        selection,
-        matrix,
-        metrics,
-        report_text,
-        warnings,
-        matched,
-    )
+    return CountryAnalysis(scope, matrix, metrics, report_text, warnings, matched)
 
 
 def _write(path: Path, text: str) -> None:
@@ -307,20 +323,15 @@ def write_coverage_outputs(out_dir: Path, reports: list[CoverageReport]) -> None
     _write(out_dir / "coverage_world.csv", format_world_csv(coverage_world_report(reports)))
 
 
-def write_plan_outputs(
-    out_dir: Path,
-    country: str,
-    eyeball_set: EyeballSet,
-    selection: ProbeSelection,
-    tasks: list[PlanTask],
-) -> None:
-    _write(out_dir / f"probes_{country}.json", format_selection(selection, eyeball_set))
-    _write(out_dir / f"plan_{country}.json", format_plan(country, tasks))
+def write_plan_outputs(out_dir: Path, scope: CountryScope, tasks: list[PlanTask]) -> None:
+    cc = scope.country
+    _write(out_dir / f"probes_{cc}.json", format_selection(scope.selection, scope.eyeball_set))
+    _write(out_dir / f"plan_{cc}.json", format_plan(cc, tasks))
 
 
 def write_analysis_outputs(out_dir: Path, result: CountryAnalysis) -> None:
-    cc = result.country
-    _write(out_dir / f"probes_{cc}.json", format_selection(result.selection, result.eyeball_set))
+    scope, cc = result.scope, result.scope.country
+    _write(out_dir / f"probes_{cc}.json", format_selection(scope.selection, scope.eyeball_set))
     _write(out_dir / f"matrix_{cc}.json", format_matrix(result.matrix))
     _write(out_dir / f"metrics_{cc}.csv", format_metrics_csv(result.metrics))
     _write(out_dir / f"report_{cc}.txt", result.report_text)

@@ -269,10 +269,9 @@ def test_criterion_5_topology_verdicts(tmp_path):
             out_dir=workdir / "out",
             country="XX",
         )
-        ws = pipeline.load_workspace(
-            config, with_probes=True, with_tables=True, with_traceroutes=True
-        )
-        result = pipeline.analyze_country(config, ws, "XX")
+        ws = pipeline.load_workspace(config, with_traceroutes=True)
+        [scope] = pipeline.build_scopes(config, ws)
+        result = pipeline.analyze_country(scope, ws.traceroutes, ws)
 
         assert set(result.matrix.cells) == set(topology.expected), seed
         assert result.matched_traceroutes == topology.matched_runs, seed

@@ -185,6 +185,21 @@ class TestAnalyzeCommand:
         assert "no traceroutes matched" in capsys.readouterr().err
 
 
+    def test_hopless_run_on_selected_pair_is_skipped(self, tmp_path, fixtures_dir, out_dir, capsys):
+        lines = (fixtures_dir / "traceroutes.ndjson").read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])
+        first["hops"] = []
+        lines[0] = json.dumps(first)
+        traceroutes = tmp_path / "traceroutes.ndjson"
+        traceroutes.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        conf = write_conf(tmp_path, fixtures_dir, out_dir, traceroutes=traceroutes)
+        assert main(["analyze", "--config", str(conf), "--country", "XX"]) == EXIT_OK
+        assert "analyze: XX 19 traceroutes matched" in capsys.readouterr().out
+        sidecar = json.loads((out_dir / "run_XX.json").read_text())
+        assert sidecar["matchedTraceroutes"] == 19
+        assert "101>102@1700000101: skipped, no hops" in sidecar["warnings"]
+
+
 class TestRenderCommand:
     def test_renders_existing_matrix(self, conf, out_dir, golden_dir, capsys):
         out_dir.mkdir(parents=True)
@@ -292,6 +307,23 @@ class TestErrorHandling:
         assert main([command, "--config", str(conf), "--country", "XX"]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "XX" in err and "100%" in err
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("coverage", "population"),
+            ("plan", "population"),
+            ("analyze", "population"),
+            ("analyze", "traceroutes"),
+        ],
+    )
+    def test_non_utf8_input(self, tmp_path, fixtures_dir, out_dir, capsys, command, name):
+        source = fixtures_dir / ("population.csv" if name == "population" else "traceroutes.ndjson")
+        broken = tmp_path / source.name
+        broken.write_bytes(source.read_bytes() + b"\xff")
+        conf = write_conf(tmp_path, fixtures_dir, out_dir, **{name: broken})
+        assert main([command, "--config", str(conf), "--country", "XX"]) == EXIT_INPUT
+        assert f"not UTF-8: byte offset {source.stat().st_size}" in capsys.readouterr().err
 
     def test_bad_cap_override(self, conf, capsys):
         assert main(["coverage", "--config", str(conf), "--all", "--cap", "1.5"]) == EXIT_INPUT

@@ -16,11 +16,6 @@ from eyeball_jedi.errors import (
 )
 from eyeball_jedi.ingest import (
     PopulationEstimateRow,
-    format_capitals,
-    format_country_users,
-    format_geo_table,
-    format_population,
-    format_prefix_table,
     format_probes,
     format_traceroutes,
     parse_capitals,
@@ -46,6 +41,10 @@ class TestPopulation:
     def test_bytes_accepted(self):
         rows = parse_population_estimates(b"country,asn,fraction_percent\nNL,1136,30.0\n")
         assert rows[0].country == "NL"
+
+    def test_non_utf8_bytes_name_their_offset(self):
+        with pytest.raises(IngestError, match="not UTF-8: byte offset 42"):
+            parse_population_estimates(b"country,asn,fraction_percent\nNL,1136,30.0\n\xff")
 
     def test_header_must_match(self):
         with pytest.raises(MalformedHeader) as exc:
@@ -252,14 +251,6 @@ class TestTables:
 
 
 class TestRoundTrips:
-    def test_population(self):
-        text = "country,asn,fraction_percent\nDE,3320,21.5\nDE,6805,18.0\n"
-        assert format_population(parse_population_estimates(text)) == text
-
-    def test_country_users(self):
-        text = "country,internet_users\nCA,33000000\nDE,78000000\n"
-        assert format_country_users(parse_country_users(text)) == text
-
     def test_probes(self):
         probes = parse_probe_inventory(
             '[{"id": 1, "asn_v4": 65001, "asn_v6": null, "latitude": 50.0, "longitude": 8.0,'
@@ -270,15 +261,3 @@ class TestRoundTrips:
     def test_traceroutes(self):
         trs = parse_traceroute_results(TestTraceroutes.LINE + "\n")
         assert parse_traceroute_results(format_traceroutes(trs)) == trs
-
-    def test_prefix_table(self):
-        text = "prefix,origin_asn\n20.1.0.0/16,65001\n20.1.128.0/17,65002\n"
-        assert format_prefix_table(parse_prefix_table(text)) == text
-
-    def test_geo_table(self):
-        text = "prefix,country\n20.0.0.0/8,XX\n20.6.0.0/16,??\n"
-        assert format_geo_table(parse_geo_table(text)) == text
-
-    def test_capitals(self):
-        text = "country,latitude,longitude\nDE,52.52,13.405\nNL,52.3676,4.9041\n"
-        assert format_capitals(parse_capitals(text)) == text

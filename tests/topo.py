@@ -6,7 +6,8 @@ of a handful of route flavors whose locality/directness labels are fixed
 by construction, so the expected matrix verdicts come from the generative
 choices rather than from re-parsing the emitted files. Runs are salted
 with semantics-neutral noise: private hops, timeouts inside a single AS,
-extra responses after the first answer of a hop.
+extra responses after the first answer of a hop. compose() merges several
+topologies, each under its own country code, into one input set.
 """
 
 import json
@@ -26,6 +27,15 @@ UNMAPPED_IN = "45.1"  # geolocated in-country, absent from the AS mapping
 UNMAPPED_SILENT = "45.2"  # absent from both tables
 
 
+def _write_files(files, directory):
+    paths = {}
+    for name, text in files.items():
+        path = directory / name
+        path.write_text(text, encoding="utf-8")
+        paths[name] = path
+    return paths
+
+
 @dataclass
 class Topology:
     seed: int
@@ -37,21 +47,37 @@ class Topology:
     files: dict = field(default_factory=dict)  # file name -> text
 
     def write_to(self, directory):
-        paths = {}
-        for name, text in self.files.items():
-            path = directory / name
-            path.write_text(text, encoding="utf-8")
-            paths[name] = path
-        return paths
+        return _write_files(self.files, directory)
+
+
+@dataclass
+class World:
+    """Several topologies merged into one input set."""
+
+    topologies: dict  # country code -> Topology
+    files: dict
+
+    def write_to(self, directory):
+        return _write_files(self.files, directory)
 
 
 class _AddressPool:
-    """Hands out fresh host addresses inside /16 bases like '20.3'."""
+    """Hands out fresh host addresses inside /16 bases like '20.3'.
 
-    def __init__(self):
+    A pool for slot k moves every base's first octet up by k, so the
+    topologies of a composed world never share an address block.
+    """
+
+    def __init__(self, slot=0):
+        self.slot = slot
         self.counters = {}
 
+    def shift(self, base):
+        first, rest = base.split(".", 1)
+        return f"{int(first) + self.slot}.{rest}"
+
     def take(self, base):
+        base = self.shift(base)
         k = self.counters.get(base, 0)
         self.counters[base] = k + 1
         return f"{base}.{k // 250}.{k % 250 + 1}"
@@ -89,10 +115,13 @@ def _combine(labels):
 
 
 class _Generator:
-    def __init__(self, seed):
+    def __init__(self, seed, slot=0, country=COUNTRY):
         self.rng = random.Random(seed)
         self.seed = seed
-        self.pool = _AddressPool()
+        self.country = country
+        self.asn_offset = 1000 * slot
+        self.probe_offset = 10000 * slot
+        self.pool = _AddressPool(slot)
         self.timestamp = 1700000000
         self.runs = []
         self.warning_count = 0
@@ -210,7 +239,7 @@ class _Generator:
     def generate(self):
         rng = self.rng
         n = rng.randint(2, 5)
-        asns = [65001 + i for i in range(n)]
+        asns = [65001 + self.asn_offset + i for i in range(n)]
         thousandths = [rng.randint(20, 180) for _ in range(n)]
         covered_flags = [rng.random() < 0.8 for _ in range(n)]
         covered_flags[0] = True
@@ -222,7 +251,7 @@ class _Generator:
         for i, asn in enumerate(asns, start=1):
             if covered_flags[i - 1]:
                 count = rng.choice([1, 2, 2])
-                ids = [100 * i + k for k in range(1, count + 1)]
+                ids = [self.probe_offset + 100 * i + k for k in range(1, count + 1)]
                 probe_ids[asn] = ids
                 for k, pid in enumerate(ids):
                     probes.append(
@@ -243,7 +272,7 @@ class _Generator:
                 flavor = rng.choice(["foreign", "hidden", "down", "no_asn"])
                 probes.append(
                     {
-                        "id": 100 * i + 9,
+                        "id": self.probe_offset + 100 * i + 9,
                         "asn_v4": None if flavor == "no_asn" else asn,
                         "asn_v6": None,
                         "latitude": 50.5,
@@ -330,49 +359,59 @@ class _Generator:
             self.warning_count += 1
         if rng.random() < 0.6:
             script, _, _ = self._in_direct(s, d)
-            self._emit_run(9999, rng.choice(probe_ids[d_asn]), s_asn, d_asn, script, d_index=d)
+            self._emit_run(
+                self.probe_offset + 9999, rng.choice(probe_ids[d_asn]),
+                s_asn, d_asn, script, d_index=d,
+            )
             self.warning_count += 1
         if rng.random() < 0.6:
             script, _, _ = self._in_direct(s, d)
-            self._emit_run(1, 2, DECOY[1], d_asn, script, d_index=d)
+            self._emit_run(
+                self.probe_offset + 1, self.probe_offset + 2,
+                self.asn_offset + DECOY[1], d_asn, script, d_index=d,
+            )
             self.warning_count += 1
         uncovered = [a for a in asns if a not in covered]
         if uncovered and rng.random() < 0.8:
             u = rng.choice(uncovered)
             script, _, _ = self._in_direct(index_of[u], d)
-            self._emit_run(5000, rng.choice(probe_ids[d_asn]), u, d_asn, script, d_index=d)
+            self._emit_run(
+                self.probe_offset + 5000, rng.choice(probe_ids[d_asn]),
+                u, d_asn, script, d_index=d,
+            )
             self.warning_count += 1
 
     def _render_files(self, asns, thousandths, has_opaque, has_abroad, probes, index_of):
+        cc, block = self.country, self.pool.shift
         population = ["country,asn,fraction_percent"]
         for asn, t in zip(asns, thousandths):
-            population.append(f"{COUNTRY},{asn},{t / 10:.1f}")
+            population.append(f"{cc},{asn},{t / 10:.1f}")
 
         prefix2as = ["prefix,origin_asn"]
         geo = ["prefix,country"]
         for asn in asns:
             i = index_of[asn]
-            prefix2as.append(f"{_main(i)}.0.0/16,{asn}")
-            geo.append(f"{_main(i)}.0.0/16,{COUNTRY}")
+            prefix2as.append(f"{block(_main(i))}.0.0/16,{asn}")
+            geo.append(f"{block(_main(i))}.0.0/16,{cc}")
             if has_opaque[asn]:
-                prefix2as.append(f"{_opaque(i)}.0.0/16,{asn}")
-                geo.append(f"{_opaque(i)}.0.0/16,??")
+                prefix2as.append(f"{block(_opaque(i))}.0.0/16,{asn}")
+                geo.append(f"{block(_opaque(i))}.0.0/16,??")
             if has_abroad[asn]:
-                prefix2as.append(f"{_abroad(i)}.0.0/16,{asn}")
-                geo.append(f"{_abroad(i)}.0.0/16,{FOREIGN}")
+                prefix2as.append(f"{block(_abroad(i))}.0.0/16,{asn}")
+                geo.append(f"{block(_abroad(i))}.0.0/16,{FOREIGN}")
         for base, asn in (TRANSIT_IN, TRANSIT_OUT, TRANSIT_OPAQUE, DECOY):
-            prefix2as.append(f"{base}.0.0/16,{asn}")
-        geo.append(f"{TRANSIT_IN[0]}.0.0/16,{COUNTRY}")
-        geo.append(f"{TRANSIT_OUT[0]}.0.0/16,{FOREIGN}")
-        geo.append(f"{TRANSIT_OPAQUE[0]}.0.0/16,??")
-        geo.append(f"{DECOY[0]}.0.0/16,{FOREIGN}")
-        geo.append(f"{UNMAPPED_IN}.0.0/16,{COUNTRY}")
+            prefix2as.append(f"{block(base)}.0.0/16,{self.asn_offset + asn}")
+        geo.append(f"{block(TRANSIT_IN[0])}.0.0/16,{cc}")
+        geo.append(f"{block(TRANSIT_OUT[0])}.0.0/16,{FOREIGN}")
+        geo.append(f"{block(TRANSIT_OPAQUE[0])}.0.0/16,??")
+        geo.append(f"{block(DECOY[0])}.0.0/16,{FOREIGN}")
+        geo.append(f"{block(UNMAPPED_IN)}.0.0/16,{cc}")
         # UNMAPPED_SILENT stays out of both tables on purpose
 
         return {
             "population.csv": "\n".join(population) + "\n",
-            "country_users.csv": f"country,internet_users\n{COUNTRY},{USERS}\n",
-            "capitals.csv": f"country,latitude,longitude\n{COUNTRY},{CAPITAL[0]},{CAPITAL[1]}\n",
+            "country_users.csv": f"country,internet_users\n{cc},{USERS}\n",
+            "capitals.csv": f"country,latitude,longitude\n{cc},{CAPITAL[0]},{CAPITAL[1]}\n",
             "probes.json": json.dumps(probes, indent=1) + "\n",
             "prefix2as.csv": "\n".join(prefix2as) + "\n",
             "geo.csv": "\n".join(geo) + "\n",
@@ -382,3 +421,30 @@ class _Generator:
 
 def generate(seed) -> Topology:
     return _Generator(seed).generate()
+
+
+def compose(seeds, countries) -> World:
+    """Merge one topology per (seed, country code) into one input set.
+
+    Topology k keeps to its own ASNs (+1000*k, transit and decoy ASes
+    included), probe ids (+10000*k) and address blocks (first octet +k),
+    so no two countries share a network, a probe or a prefix. At most five
+    topologies fit; codes must differ from FOREIGN.
+    """
+    assert len(seeds) == len(countries) <= 5 and FOREIGN not in countries
+    parts = {
+        cc: _Generator(seed, slot, cc).generate()
+        for slot, (seed, cc) in enumerate(zip(seeds, countries))
+    }
+    texts = [t.files for t in parts.values()]
+    files = {}
+    for name in texts[0]:
+        if name.endswith(".csv"):
+            header = texts[0][name].split("\n", 1)[0]
+            files[name] = header + "\n" + "".join(t[name].split("\n", 1)[1] for t in texts)
+        elif name.endswith(".json"):
+            probes = [p for t in texts for p in json.loads(t[name])]
+            files[name] = json.dumps(probes, indent=1) + "\n"
+        else:
+            files[name] = "".join(t[name] for t in texts)
+    return World(parts, files)
