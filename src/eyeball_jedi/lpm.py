@@ -11,6 +11,7 @@ import ipaddress
 from typing import Any
 
 _Network = ipaddress.IPv4Network | ipaddress.IPv6Network
+_Address = ipaddress.IPv4Address | ipaddress.IPv6Address
 
 
 class LpmTable:
@@ -43,9 +44,12 @@ class LpmTable:
             self._size += 1
         bucket[int(net.network_address)] = value
 
-    def lookup(self, address: str) -> Any | None:
-        """Value of the most specific prefix containing address, else None."""
-        addr = ipaddress.ip_address(address)
+    def lookup(self, address: str | _Address) -> Any | None:
+        """Value of the most specific prefix containing address, else None.
+
+        A parsed address is used as is; a string is parsed first.
+        """
+        addr = address if isinstance(address, _Address) else ipaddress.ip_address(address)
         addr_int = int(addr)
         version = addr.version
         max_len = addr.max_prefixlen

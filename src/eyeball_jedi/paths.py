@@ -3,7 +3,8 @@
 Hop handling follows one rule everywhere: a hop is represented by the
 address of its first non-timeout response. Private/reserved addresses (any
 address that is not globally routable) carry no inter-domain or geographic
-meaning and are dropped outright.
+meaning and are dropped outright. HopResolver applies the rule once per
+hop; both labels read what it returns.
 """
 
 from __future__ import annotations
@@ -29,12 +30,67 @@ from .model import (
 #: LpmTable.lookup returns for it) or a hop with no response at all.
 UNKNOWN_HOP = None
 
+#: A kept hop: (AS number or UNKNOWN_HOP, country code or None).
+ResolvedHop = tuple[int | None, str | None]
 
-def is_public_address(address: str) -> bool:
-    try:
-        return ipaddress.ip_address(address).is_global
-    except ValueError:
-        return False
+#: A hop with no response at all: neither its AS nor its country is known.
+NO_RESPONSE: ResolvedHop = (UNKNOWN_HOP, None)
+
+_UNSEEN = object()
+
+
+def is_public_address(address: str | ipaddress.IPv4Address | ipaddress.IPv6Address) -> bool:
+    """Whether address is globally routable: ipaddress's is_global.
+
+    A parsed address is read as is; a string is parsed first, and a string
+    that is no address at all is not public.
+    """
+    if isinstance(address, str):
+        try:
+            address = ipaddress.ip_address(address)
+        except ValueError:
+            return False
+    return address.is_global
+
+
+class HopResolver:
+    """Hop addresses -> (AS, country) through the prefix and geo tables.
+
+    Each distinct address string is parsed, checked and looked up once,
+    then memoized, so one resolver serves one country's runs and the memo
+    holds only their addresses.
+    """
+
+    def __init__(self, prefix_table: LpmTable, geo_table: LpmTable):
+        self.prefix_table = prefix_table
+        self.geo_table = geo_table
+        self._memo: dict[str, ResolvedHop | None] = {}
+
+    def resolve(self, address: str) -> ResolvedHop | None:
+        """(AS, country) of a global address; None drops a non-global or invalid one."""
+        try:
+            parsed = ipaddress.ip_address(address)
+        except ValueError:
+            return None
+        if not is_public_address(parsed):
+            return None
+        return self.prefix_table.lookup(parsed), self.geo_table.lookup(parsed)
+
+    def hops(self, tr: Traceroute) -> list[ResolvedHop]:
+        """The run's kept hops in order; a hop with no response is NO_RESPONSE."""
+        memo = self._memo
+        kept = []
+        for hop in tr.hops:
+            address = hop.first_address()
+            if address is None:
+                kept.append(NO_RESPONSE)
+                continue
+            resolved = memo.get(address, _UNSEEN)
+            if resolved is _UNSEEN:
+                resolved = memo[address] = self.resolve(address)
+            if resolved is not None:
+                kept.append(resolved)
+        return kept
 
 
 @dataclass(frozen=True)
@@ -58,44 +114,32 @@ class AsPath:
         return [e for e in self.sequence if e is not UNKNOWN_HOP]
 
 
-def extract_as_path(tr: Traceroute, prefix_table: LpmTable) -> AsPath:
-    """Derive the AS-level path of a traceroute.
+def extract_as_path(tr: Traceroute, hops: list[ResolvedHop]) -> AsPath:
+    """Derive the AS-level path of a traceroute from its resolved hops.
 
-    Per hop, the first non-timeout response address is mapped through the
-    prefix table; non-global addresses are skipped entirely; a responding
-    but unmapped address, or a hop with no response at all, becomes an
-    unknown-hop marker. The source AS is prepended and the destination AS
-    appended when not already terminal.
+    hops is HopResolver.hops(tr): non-global addresses are already gone,
+    and a responding but unmapped address, or a hop with no response at
+    all, carries the unknown-hop marker. The source AS is prepended and
+    the destination AS appended when not already terminal.
     """
     if not tr.hops:
         raise EmptyTraceroute(f"traceroute {tr.measurement_id} has no hops")
     elements: list = [tr.src_asn]
-    for hop in tr.hops:
-        address = hop.first_address()
-        if address is None:
-            elements.append(UNKNOWN_HOP)
-            continue
-        if not is_public_address(address):
-            continue
-        elements.append(prefix_table.lookup(address))
+    elements.extend(asn for asn, _ in hops)
     if elements[-1] != tr.dst_asn:
         elements.append(tr.dst_asn)
     return normalize_path(elements)
 
 
-def classify_locality(tr: Traceroute, geo_table: LpmTable, country: str) -> Locality:
-    """In/out-of-country from hop geolocations.
+def classify_locality(hops: list[ResolvedHop], country: str) -> Locality:
+    """In/out-of-country from the geolocations of a run's resolved hops.
 
     A single hop geolocated abroad witnesses the path leaving the country;
     absent that, any hop geolocated inside means the path stayed in; with
     no geolocatable hops at all the traceroute says nothing.
     """
     saw_inside = False
-    for hop in tr.hops:
-        address = hop.first_address()
-        if address is None or not is_public_address(address):
-            continue
-        hop_country = geo_table.lookup(address)
+    for _, hop_country in hops:
         if hop_country is None:
             continue
         if hop_country != country:
@@ -118,12 +162,11 @@ def classify_directness(path: AsPath, src_asn: int, dst_asn: int) -> Directness:
     return Directness.DIRECT
 
 
-def classify_traceroute(
-    tr: Traceroute, prefix_table: LpmTable, geo_table: LpmTable, country: str
-) -> PathClassification:
-    path = extract_as_path(tr, prefix_table)
+def classify_traceroute(tr: Traceroute, resolver: HopResolver, country: str) -> PathClassification:
+    hops = resolver.hops(tr)
+    path = extract_as_path(tr, hops)
     return PathClassification(
-        locality=classify_locality(tr, geo_table, country),
+        locality=classify_locality(hops, country),
         directness=classify_directness(path, tr.src_asn, tr.dst_asn),
     )
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,7 +55,7 @@ from .model import (
     Probe,
     Traceroute,
 )
-from .paths import classify_pair, classify_traceroute
+from .paths import HopResolver, classify_pair, classify_traceroute
 from .selection import ProbeSelection, format_selection, select_probes
 
 log = logging.getLogger(__name__)
@@ -77,20 +78,30 @@ def load_workspace(config: RunConfig, with_traceroutes: bool = False) -> Workspa
     """Parse the inputs; traceroutes come with both tables they are read against."""
     config.require_inputs("population", "country_users", "capitals", "probes")
     ws = Workspace(
-        population=parse_population_estimates(config.population.read_bytes()),
-        users=parse_country_users(config.country_users.read_bytes()),
-        capitals=parse_capitals(config.capitals.read_bytes()),
-        probes=parse_probe_inventory(config.probes.read_bytes()),
+        population=_parse(config, "population", parse_population_estimates),
+        users=_parse(config, "country_users", parse_country_users),
+        capitals=_parse(config, "capitals", parse_capitals),
+        probes=_parse(config, "probes", parse_probe_inventory),
     )
     if with_traceroutes:
         config.require_inputs("prefix2as", "geo", "traceroutes")
-        ws.prefix_table = parse_prefix_table(config.prefix2as.read_bytes())
-        ws.geo_table = parse_geo_table(config.geo.read_bytes())
-        ws.traceroutes = parse_traceroute_results(config.traceroutes.read_bytes())
+        ws.prefix_table = _parse(config, "prefix2as", parse_prefix_table)
+        ws.geo_table = _parse(config, "geo", parse_geo_table)
+        ws.traceroutes = _parse(config, "traceroutes", parse_traceroute_results)
     elif config.geo is not None and config.geo.is_file():
         # Optional for coverage/plan: used to keep only in-country probes.
-        ws.geo_table = parse_geo_table(config.geo.read_bytes())
+        ws.geo_table = _parse(config, "geo", parse_geo_table)
     return ws
+
+
+def _parse(config: RunConfig, key: str, parser):
+    """Parse the input under a config key; a parse error names the key and the file."""
+    path = getattr(config, key)
+    try:
+        return parser(path.read_bytes())
+    except IngestError as exc:
+        exc.args = (f"{key} input {path}: {exc}",)
+        raise
 
 
 def in_country_probes(ws: Workspace, countries: list[str]) -> dict[str, list[Probe]]:
@@ -238,8 +249,10 @@ def gather_evidence(
     """Match traceroutes to the selection and classify each admissible one.
 
     Returns per-pair evidence sorted by measurement id, human-readable
-    warnings for everything skipped, and the count of matched runs.
+    warnings for everything skipped, and the count of matched runs. Each
+    distinct hop address is resolved once for the whole call.
     """
+    resolver = HopResolver(prefix_table, geo_table)
     member_asns = scope.eyeball_set.asns
     selection = scope.selection
     evidence: dict[tuple[int, int], list[tuple[str, PathClassification]]] = {}
@@ -268,7 +281,7 @@ def gather_evidence(
         if not tr.hops:
             warnings.append(f"{tr.measurement_id}: skipped, no hops")
             continue
-        cls = classify_traceroute(tr, prefix_table, geo_table, scope.country)
+        cls = classify_traceroute(tr, resolver, scope.country)
         evidence.setdefault(pair, []).append((tr.measurement_id, cls))
         matched += 1
     for runs in evidence.values():
@@ -312,8 +325,20 @@ def analyze_country(
 
 
 def _write(path: Path, text: str) -> None:
+    """Write through a temp file in the same directory, then rename it over path.
+
+    An interrupted write leaves the previous artifact, or none, but never
+    a truncated one.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     log.info("wrote %s", path)
 
 

@@ -81,6 +81,53 @@ def fixpoint_normalize(elements: list, marker=None) -> list:
     return elements
 
 
+def reference_as_path(tr, prefix_table, marker=None) -> tuple:
+    """AS path of a run with per-hop parsing: each hop is checked and looked up on its own.
+
+    The package's extract_as_path before hop resolution was shared,
+    normalized by fixpoint_normalize.
+    """
+    elements = [tr.src_asn]
+    for hop in tr.hops:
+        address = hop.first_address()
+        if address is None:
+            elements.append(marker)
+            continue
+        if not _is_global(address):
+            continue
+        elements.append(prefix_table.lookup(address))
+    if elements[-1] != tr.dst_asn:
+        elements.append(tr.dst_asn)
+    return tuple(fixpoint_normalize(elements, marker=marker))
+
+
+def reference_locality(tr, geo_table, country: str) -> str:
+    """Locality value of a run from hop geolocations, each hop parsed on its own.
+
+    One of "in_country", "out_of_country" or "undetermined": the package's
+    classify_locality before hop resolution was shared.
+    """
+    saw_inside = False
+    for hop in tr.hops:
+        address = hop.first_address()
+        if address is None or not _is_global(address):
+            continue
+        hop_country = geo_table.lookup(address)
+        if hop_country is None:
+            continue
+        if hop_country != country:
+            return "out_of_country"
+        saw_inside = True
+    return "in_country" if saw_inside else "undetermined"
+
+
+def _is_global(address: str) -> bool:
+    try:
+        return ipaddress.ip_address(address).is_global
+    except ValueError:
+        return False
+
+
 def metrics_double_loop(fractions: list[float], cells: dict) -> dict[str, float]:
     """Recompute category areas by enumerating all n*n pairs directly.
 

@@ -1,7 +1,9 @@
 """Command-line behavior: happy paths, exit codes, overrides."""
 
+import errno
 import json
 import logging
+from pathlib import Path
 
 import pytest
 
@@ -325,6 +327,22 @@ class TestErrorHandling:
         assert main([command, "--config", str(conf), "--country", "XX"]) == EXIT_INPUT
         assert f"not UTF-8: byte offset {source.stat().st_size}" in capsys.readouterr().err
 
+    def test_non_utf8_input_names_the_file(self, tmp_path, fixtures_dir, out_dir, capsys):
+        broken = tmp_path / "population.csv"
+        broken.write_bytes((fixtures_dir / "population.csv").read_bytes() + b"\xff")
+        conf = write_conf(tmp_path, fixtures_dir, out_dir, population=broken)
+        assert main(["coverage", "--config", str(conf), "--country", "XX"]) == EXIT_INPUT
+        assert f"error: population input {broken}: not UTF-8: byte offset" in capsys.readouterr().err
+
+    def test_bad_prefix_row_names_the_file(self, tmp_path, fixtures_dir, out_dir, capsys):
+        text = (fixtures_dir / "prefix2as.csv").read_text(encoding="utf-8")
+        broken = tmp_path / "prefix2as.csv"
+        broken.write_text(text + "20.9.0.0/33,65009\n", encoding="utf-8")
+        conf = write_conf(tmp_path, fixtures_dir, out_dir, prefix2as=broken)
+        assert main(["analyze", "--config", str(conf), "--country", "XX"]) == EXIT_INPUT
+        bad_line = text.count("\n") + 1
+        assert f"error: prefix2as input {broken}: line {bad_line}: " in capsys.readouterr().err
+
     def test_bad_cap_override(self, conf, capsys):
         assert main(["coverage", "--config", str(conf), "--all", "--cap", "1.5"]) == EXIT_INPUT
         assert "cumulative_cap" in capsys.readouterr().err
@@ -337,3 +355,46 @@ class TestErrorHandling:
     def test_country_flag_is_case_insensitive(self, conf, out_dir):
         assert main(["coverage", "--config", str(conf), "--country", "xx"]) == EXIT_OK
         assert (out_dir / "coverage_XX.json").is_file()
+
+
+class _HalfWriter:
+    """A file that takes half of what it is given, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, text):
+        self._fh.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def fill_disk(monkeypatch):
+    """From now on every file opened for writing fails halfway."""
+    real_open = Path.open
+
+    def open_(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return _HalfWriter(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(Path, "open", open_)
+
+
+class TestInterruptedWrites:
+    def test_no_truncated_artifact_is_left(self, conf, out_dir, monkeypatch, capsys):
+        fill_disk(monkeypatch)
+        assert main(["plan", "--config", str(conf), "--country", "XX"]) == EXIT_INPUT
+        assert "No space left on device" in capsys.readouterr().err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    def test_previous_artifacts_survive(self, conf, out_dir, monkeypatch):
+        assert main(["plan", "--config", str(conf), "--country", "XX"]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        fill_disk(monkeypatch)
+        assert main(["plan", "--config", str(conf), "--country", "XX"]) == EXIT_INPUT
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before

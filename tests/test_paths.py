@@ -1,9 +1,16 @@
 """AS-path extraction and per-pair classification."""
 
+import dataclasses
+import ipaddress
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from eyeball_jedi import pipeline
+from eyeball_jedi.config import load_config
 from eyeball_jedi.errors import EmptyTraceroute
 from eyeball_jedi.lpm import LpmTable
 from eyeball_jedi.model import (
@@ -16,11 +23,12 @@ from eyeball_jedi.model import (
     Traceroute,
     TracerouteHop,
 )
-from oracles import fixpoint_normalize
+from oracles import fixpoint_normalize, reference_as_path, reference_locality
 
 from eyeball_jedi.paths import (
     UNKNOWN_HOP,
     AsPath,
+    HopResolver,
     classify_directness,
     classify_locality,
     classify_pair,
@@ -60,6 +68,14 @@ def make_geo_table():
     table.add("20.8.0.0/16", "YY")
     table.add("20.6.0.0/16", None)
     return table
+
+
+def make_resolver():
+    return HopResolver(make_prefix_table(), make_geo_table())
+
+
+def resolved(tr):
+    return make_resolver().hops(tr)
 
 
 def hop(index, *addresses):
@@ -113,67 +129,187 @@ class TestIsPublicAddress:
 class TestExtractAsPath:
     def test_consecutive_duplicates_collapse(self):
         tr = make_traceroute(A, B, [ADDR_A, ADDR_A2, ADDR_B])
-        path = extract_as_path(tr, make_prefix_table())
+        path = extract_as_path(tr, resolved(tr))
         assert path.sequence == (A, B)
 
     def test_marker_between_equal_ases_is_swallowed(self):
         tr = make_traceroute(A, B, [ADDR_A, ADDR_UNMAPPED, ADDR_A2, ADDR_B])
-        path = extract_as_path(tr, make_prefix_table())
+        path = extract_as_path(tr, resolved(tr))
         assert path.sequence == (A, B)
         assert not path.has_unknown()
 
     def test_private_hops_are_dropped(self):
         tr = make_traceroute(A, C, [ADDR_A, ADDR_PRIVATE, ADDR_B, ADDR_C], dst_address=ADDR_C)
-        path = extract_as_path(tr, make_prefix_table())
+        path = extract_as_path(tr, resolved(tr))
         assert path.sequence == (A, B, C)
 
     def test_marker_between_different_ases_persists(self):
         tr = make_traceroute(A, B, [ADDR_A, ADDR_UNMAPPED, ADDR_B])
-        path = extract_as_path(tr, make_prefix_table())
+        path = extract_as_path(tr, resolved(tr))
         assert path.sequence == (A, UNKNOWN_HOP, B)
         assert path.has_unknown()
 
     def test_timeout_only_hop_becomes_marker(self):
         tr = make_traceroute(A, B, [ADDR_A, (None, None, None), ADDR_B])
-        path = extract_as_path(tr, make_prefix_table())
+        path = extract_as_path(tr, resolved(tr))
         assert path.sequence == (A, UNKNOWN_HOP, B)
 
     def test_first_response_wins_within_hop(self):
         # hop answers twice: a timeout then an address; the address is used
         tr = make_traceroute(A, B, [(None, ADDR_B), ADDR_B])
-        path = extract_as_path(tr, make_prefix_table())
+        path = extract_as_path(tr, resolved(tr))
         assert path.sequence == (A, B)
 
     def test_source_prepended_when_first_hop_is_elsewhere(self):
         tr = make_traceroute(A, B, [ADDR_B])
-        path = extract_as_path(tr, make_prefix_table())
+        path = extract_as_path(tr, resolved(tr))
         assert path.sequence == (A, B)
 
     def test_destination_appended_when_missing(self):
         tr = make_traceroute(A, B, [ADDR_A, ADDR_C])
-        path = extract_as_path(tr, make_prefix_table())
+        path = extract_as_path(tr, resolved(tr))
         assert path.sequence == (A, C, B)
 
     def test_destination_not_duplicated(self):
         tr = make_traceroute(A, B, [ADDR_A, ADDR_B])
-        path = extract_as_path(tr, make_prefix_table())
+        path = extract_as_path(tr, resolved(tr))
         assert path.sequence.count(B) == 1
 
     def test_self_pair_collapses_to_single_element(self):
         tr = make_traceroute(A, A, [ADDR_A, ADDR_A2], dst_address=ADDR_A2)
-        path = extract_as_path(tr, make_prefix_table())
+        path = extract_as_path(tr, resolved(tr))
         assert path.sequence == (A,)
 
     def test_no_hops_raises(self):
         tr = make_traceroute(A, B, [])
         with pytest.raises(EmptyTraceroute, match="no hops"):
-            extract_as_path(tr, make_prefix_table())
+            extract_as_path(tr, resolved(tr))
 
     def test_trailing_marker_then_destination(self):
         # last hop times out, destination AS still closes the path
         tr = make_traceroute(A, B, [ADDR_A, (None,)])
-        path = extract_as_path(tr, make_prefix_table())
+        path = extract_as_path(tr, resolved(tr))
         assert path.sequence == (A, UNKNOWN_HOP, B)
+
+
+OCTET = st.integers(0, 255)
+# Hop addresses by kind. Tables are built on a small pool drawn from these,
+# and hops reuse the pool, so addresses repeat across hops and runs.
+HOP_ADDRESS = st.one_of(
+    st.builds("{}.{}.{}.{}".format, st.sampled_from([20, 45, 81]), OCTET, OCTET, OCTET),
+    st.builds("2a0{:x}:{:x}::{:x}".format, st.integers(0, 15), st.integers(0, 0xFFFF), OCTET),
+    st.builds("10.{}.{}.{}".format, OCTET, OCTET, OCTET),
+    st.builds("192.168.{}.{}".format, OCTET, OCTET),
+    st.builds("fd{:02x}::{:x}".format, OCTET, OCTET),
+    st.builds("100.{}.{}.{}".format, st.integers(64, 127), OCTET, OCTET),
+    st.sampled_from(
+        ["0.1.2.3", "127.0.0.1", "169.254.9.9", "192.0.2.7", "198.18.0.1", "240.0.0.1",
+         "255.255.255.255", "::1", "fe80::1", "2001:db8::1", "::ffff:20.1.0.9"]
+    ),
+    st.sampled_from(["", "not-an-ip", "999.1.1.1", "20.1.0", "20.1.0.9 ", "::g", "01.2.3.4"]),
+)
+ASNS = [A, B, C, 65004]
+COUNTRIES = ["XX", "YY", None]
+
+
+def _parses(address):
+    try:
+        ipaddress.ip_address(address)
+    except ValueError:
+        return False
+    return True
+
+
+class TestHopResolution:
+    """Labels read from resolved hops equal the per-hop reference in oracles."""
+
+    @seed(1010)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def test_agrees_with_per_hop_reference(self, data):
+        pool = data.draw(st.lists(HOP_ADDRESS, min_size=1, max_size=12), label="pool")
+        parsed = [ipaddress.ip_address(a) for a in pool if _parses(a)]
+        prefix_table, geo_table = LpmTable(), LpmTable()
+        for table, values in ((prefix_table, ASNS), (geo_table, COUNTRIES)):
+            if not parsed:
+                break
+            entry = st.tuples(st.sampled_from(parsed), st.integers(0, 128), st.sampled_from(values))
+            for addr, plen, value in data.draw(st.lists(entry, max_size=8), label="entries"):
+                table.add(ipaddress.ip_network(f"{addr}/{min(plen, addr.max_prefixlen)}", strict=False), value)
+        response = st.none() | st.sampled_from(pool)
+        run = st.tuples(
+            st.sampled_from(ASNS),
+            st.sampled_from(ASNS),
+            st.lists(st.lists(response, min_size=1, max_size=3), min_size=1, max_size=10),
+            st.sampled_from(["XX", "YY"]),
+        )
+        resolver = HopResolver(prefix_table, geo_table)
+        for src, dst, hop_specs, country in data.draw(st.lists(run, min_size=1, max_size=5), label="runs"):
+            tr = make_traceroute(src, dst, [tuple(spec) for spec in hop_specs])
+            hops = resolver.hops(tr)
+            assert extract_as_path(tr, hops) == AsPath(reference_as_path(tr, prefix_table))
+            want = Locality(reference_locality(tr, geo_table, country))
+            assert classify_locality(hops, country) is want
+
+
+@pytest.fixture
+def fixture_scope(run_conf):
+    config = dataclasses.replace(load_config(run_conf), country="XX")
+    ws = pipeline.load_workspace(config, with_traceroutes=True)
+    [scope] = pipeline.build_scopes(config, ws)
+    return scope, ws
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count address parses by string and table lookups by (table, address)."""
+    parses, lookups = Counter(), Counter()
+    real_parse, real_lookup = ipaddress.ip_address, LpmTable.lookup
+
+    def parse(address):
+        parses[address] += 1
+        return real_parse(address)
+
+    def lookup(table, address):
+        lookups[(id(table), str(address))] += 1
+        return real_lookup(table, address)
+
+    monkeypatch.setattr(ipaddress, "ip_address", parse)
+    monkeypatch.setattr(LpmTable, "lookup", lookup)
+    return parses, lookups
+
+
+class TestResolveOnce:
+    """One gather_evidence call parses each distinct hop address once."""
+
+    def test_repeated_addresses_are_parsed_once(self, fixture_scope, counted):
+        scope, ws = fixture_scope
+        parses, lookups = counted
+        evidence, _, matched = pipeline.gather_evidence(
+            scope, ws.traceroutes, ws.prefix_table, ws.geo_table
+        )
+        cited = {mid for runs in evidence.values() for mid, _ in runs}
+        hops = [h.first_address() for tr in ws.traceroutes if tr.measurement_id in cited for h in tr.hops]
+        addresses = {a for a in hops if a is not None}
+        assert matched > 0 and len(hops) > len(addresses)
+        assert parses == Counter(dict.fromkeys(addresses, 1))
+        assert max(lookups.values()) == 1
+        assert {address for _, address in lookups} <= addresses
+
+    def test_fresh_addresses_are_parsed_once(self, fixture_scope, counted):
+        scope, ws = fixture_scope
+        parses, _ = counted
+        fresh = ["20.1.3.3", "20.9.9.9", "10.1.1.1", "100.64.0.1", "2a00::1", "bogus", None]
+        template = next(
+            tr for tr in ws.traceroutes
+            if tr.address_family == 4
+            and tr.src_probe_id in scope.selection.probe_ids(tr.src_asn)
+            and tr.dst_probe_id in scope.selection.probe_ids(tr.dst_asn)
+        )
+        run = dataclasses.replace(template, hops=tuple(hop(i, a) for i, a in enumerate(fresh, 1)))
+        _, _, matched = pipeline.gather_evidence(scope, [run], ws.prefix_table, ws.geo_table)
+        assert matched == 1
+        assert parses == Counter(dict.fromkeys(fresh[:-1], 1))
 
 
 class TestNormalizePath:
@@ -206,24 +342,24 @@ class TestNormalizePath:
 class TestClassifyLocality:
     def test_all_hops_inside(self):
         tr = make_traceroute(A, B, [ADDR_A, ADDR_B])
-        assert classify_locality(tr, make_geo_table(), "XX") is Locality.IN_COUNTRY
+        assert classify_locality(resolved(tr), "XX") is Locality.IN_COUNTRY
 
     def test_any_foreign_hop_wins(self):
         tr = make_traceroute(A, B, [ADDR_A, ADDR_FOREIGN, ADDR_B])
-        assert classify_locality(tr, make_geo_table(), "XX") is Locality.OUT_OF_COUNTRY
+        assert classify_locality(resolved(tr), "XX") is Locality.OUT_OF_COUNTRY
 
     def test_no_geolocatable_hops(self):
         tr = make_traceroute(A, B, [(None,), ADDR_PRIVATE, ADDR_UNMAPPED])
-        assert classify_locality(tr, make_geo_table(), "XX") is Locality.UNDETERMINED
+        assert classify_locality(resolved(tr), "XX") is Locality.UNDETERMINED
 
     def test_unknown_country_entries_do_not_count(self):
         # 20.6.0.0/16 geolocates to the unknown marker; alone it proves nothing
         tr = make_traceroute(A, B, [ADDR_UNKNOWN_GEO])
-        assert classify_locality(tr, make_geo_table(), "XX") is Locality.UNDETERMINED
+        assert classify_locality(resolved(tr), "XX") is Locality.UNDETERMINED
 
     def test_foreign_beats_inside_regardless_of_order(self):
         tr = make_traceroute(A, B, [ADDR_FOREIGN, ADDR_A])
-        assert classify_locality(tr, make_geo_table(), "XX") is Locality.OUT_OF_COUNTRY
+        assert classify_locality(resolved(tr), "XX") is Locality.OUT_OF_COUNTRY
 
 
 class TestClassifyDirectness:
@@ -257,18 +393,18 @@ class TestClassifyDirectness:
 class TestClassifyTraceroute:
     def test_combined_labels(self):
         tr = make_traceroute(A, B, [ADDR_A, ADDR_C, ADDR_B])
-        cls = classify_traceroute(tr, make_prefix_table(), make_geo_table(), "XX")
+        cls = classify_traceroute(tr, make_resolver(), "XX")
         assert cls == PathClassification(Locality.IN_COUNTRY, Directness.INDIRECT)
 
     def test_foreign_detour(self):
         tr = make_traceroute(A, B, [ADDR_A, ADDR_FOREIGN, ADDR_B])
-        cls = classify_traceroute(tr, make_prefix_table(), make_geo_table(), "XX")
+        cls = classify_traceroute(tr, make_resolver(), "XX")
         assert cls.locality is Locality.OUT_OF_COUNTRY
         assert cls.directness is Directness.INDIRECT
 
     def test_silent_middle(self):
         tr = make_traceroute(A, B, [(None,)])
-        cls = classify_traceroute(tr, make_prefix_table(), make_geo_table(), "XX")
+        cls = classify_traceroute(tr, make_resolver(), "XX")
         assert cls == PathClassification(Locality.UNDETERMINED, Directness.UNDETERMINED)
 
 
