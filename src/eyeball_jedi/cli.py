@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 bad configuration or unreadable/invalid inputs,
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import sys
 from pathlib import Path
@@ -24,7 +25,6 @@ from . import pipeline
 from .config import RunConfig, apply_overrides, load_config
 from .errors import ConfigError, EmptyInput, HttpError, IngestError, PaginationLoop
 from .fetch import HttpClient, fetch_measurement_results, fetch_probe_inventory
-from .ingest import format_probes, format_traceroutes
 from .matrix import load_matrix
 from .render import render_svg
 
@@ -113,7 +113,7 @@ def cmd_render(config: RunConfig) -> int:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return EXIT_INPUT
         svg_path = path.with_suffix(".svg")
-        svg_path.write_text(render_svg(matrix), encoding="utf-8", newline="")
+        pipeline._write(svg_path, render_svg(matrix))
         print(f"render: {svg_path}")
     return EXIT_OK
 
@@ -123,20 +123,20 @@ def cmd_fetch(config: RunConfig) -> int:
         raise ConfigError("fetch requires http_base_url in the config")
     if config.probes is None:
         raise ConfigError("fetch requires a probes path in the config to write to")
+    if config.measurement_ids and config.traceroutes is None:
+        raise ConfigError("fetch requires a traceroutes path to store results")
     client = HttpClient(rate_limit=config.rate_limit, api_key=config.api_key())
     probes = fetch_probe_inventory(config.http_base_url, config.country, client=client)
-    config.probes.parent.mkdir(parents=True, exist_ok=True)
-    config.probes.write_text(format_probes(probes), encoding="utf-8", newline="")
-    print(f"fetch: {len(probes)} probes -> {config.probes}")
     if config.measurement_ids:
-        if config.traceroutes is None:
-            raise ConfigError("fetch requires a traceroutes path to store results")
         results, failures = fetch_measurement_results(
             config.http_base_url, list(config.measurement_ids), client=client
         )
-        config.traceroutes.parent.mkdir(parents=True, exist_ok=True)
-        config.traceroutes.write_text(
-            format_traceroutes(results), encoding="utf-8", newline=""
+    pipeline._write(config.probes, json.dumps(probes, indent=2) + "\n")
+    print(f"fetch: {len(probes)} probes -> {config.probes}")
+    if config.measurement_ids:
+        pipeline._write(
+            config.traceroutes,
+            "".join(json.dumps(obj, separators=(",", ":")) + "\n" for obj in results),
         )
         print(f"fetch: {len(results)} traceroutes -> {config.traceroutes}")
         for failure in failures:

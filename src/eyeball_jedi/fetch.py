@@ -1,8 +1,9 @@
 """HTTP client for the probe-inventory and measurement-result services.
 
-The remote payloads use the same schemas as the offline files, so fetched
-data normalizes through the exact same constructors as parsed files. All
-requests go through one rate limiter (default ceiling 4 requests/second).
+The remote payloads use the same schemas as the offline files, so each
+fetched object is checked by the parser that reads those files and then
+returned as received. All requests go through one rate limiter (default
+ceiling 4 requests/second).
 
 Wire format:
   GET {base}/probes?country=CC      -> {"results": [probe objects], "next": url or null}
@@ -16,9 +17,8 @@ import time
 from typing import Any, Callable
 from urllib.parse import urlencode
 
-from .errors import HttpError, IngestError, PaginationLoop
+from .errors import HttpError, IngestError, PaginationLoop, RowParseError
 from .ingest import probe_from_dict, traceroute_from_dict
-from .model import Probe, Traceroute
 
 DEFAULT_RATE_LIMIT = 4.0
 
@@ -83,25 +83,29 @@ def fetch_probe_inventory(
     country: str | None = None,
     client: HttpClient | None = None,
     **client_kwargs,
-) -> list[Probe]:
+) -> list[dict]:
     """Fetch the (optionally country-filtered) probe inventory, all pages.
 
     Pages are followed via each response's "next" URL until it is null.
-    Any non-200 page aborts the whole fetch; a page URL seen twice raises
-    PaginationLoop.
+    Any non-200 page or invalid probe object aborts the whole fetch; a page
+    URL seen twice raises PaginationLoop.
     """
     client = client if client is not None else HttpClient(**client_kwargs)
     query = f"?{urlencode({'country': country})}" if country else ""
     url = f"{base_url.rstrip('/')}/probes{query}"
     seen = set()
-    probes: list[Probe] = []
+    probes: list[dict] = []
     while url:
         if url in seen:
             raise PaginationLoop(f"page {url} repeats")
         seen.add(url)
         payload = client.get_json(url)
-        for obj in payload.get("results", []):
-            probes.append(probe_from_dict(obj))
+        page = payload.get("results", []) if isinstance(payload, dict) else None
+        if not isinstance(page, list):
+            raise RowParseError(f"probe page {url} has no results array")
+        for obj in page:
+            probe_from_dict(obj)
+        probes.extend(page)
         url = payload.get("next")
     return probes
 
@@ -111,22 +115,28 @@ def fetch_measurement_results(
     measurement_ids: list[int],
     client: HttpClient | None = None,
     **client_kwargs,
-) -> tuple[list[Traceroute], list[Exception]]:
+) -> tuple[list[dict], list[Exception]]:
     """Fetch traceroute results for each measurement id.
 
-    One id failing (HTTP error or malformed payload) does not abort the
-    rest; failures come back alongside the successfully fetched results.
+    Each id's payload is kept whole or not at all. One id failing (HTTP
+    error or any malformed run) does not abort the rest; failures come back
+    alongside the successfully fetched results.
     """
     if not measurement_ids:
         raise ValueError("measurement_ids must be non-empty")
     client = client if client is not None else HttpClient(**client_kwargs)
-    results: list[Traceroute] = []
+    results: list[dict] = []
     failures: list[Exception] = []
     for mid in measurement_ids:
         url = f"{base_url.rstrip('/')}/measurements/{mid}/results"
         try:
             payload = client.get_json(url)
-            results.extend(traceroute_from_dict(obj) for obj in payload)
-        except (HttpError, IngestError, TypeError, ValueError) as exc:
+            if not isinstance(payload, list):
+                raise RowParseError(f"results of measurement {mid} are not an array")
+            for obj in payload:
+                traceroute_from_dict(obj)
+        except (HttpError, IngestError) as exc:
             failures.append(exc)
+            continue
+        results.extend(payload)
     return results, failures

@@ -9,8 +9,9 @@ Each parser raises on the first bad record by default. Passing a list as
 ``errors`` switches it to collect mode: record-level problems are appended
 to that list and parsing continues (structural problems such as a bad
 header still raise). Input that is not UTF-8 is an IngestError naming the
-first bad byte. The probe and traceroute formats also have ``format_*``
-writers, for fetch; ``parse(format(x)) == x`` for well-formed values.
+first bad byte. probe_from_dict and traceroute_from_dict check one object
+each and raise only IngestError, so fetch validates server objects with
+them too.
 """
 
 from __future__ import annotations
@@ -36,15 +37,7 @@ from .errors import (
     RowParseError,
 )
 from .lpm import LpmTable
-from .model import (
-    GeoPoint,
-    HopResponse,
-    Probe,
-    Traceroute,
-    TracerouteHop,
-    check_asn,
-    check_country_code,
-)
+from .model import GeoPoint, Probe, Traceroute, check_asn, check_country_code
 
 log = logging.getLogger(__name__)
 
@@ -153,41 +146,38 @@ def parse_country_users(
 
 
 def probe_from_dict(obj: dict) -> Probe:
-    """Build a Probe from one inventory object; missing optionals stay absent."""
+    """Build a Probe from one inventory object; missing optionals stay absent.
+
+    asn_v6 is checked but not kept: the analysis reads only IPv4 fields.
+    """
+    if not isinstance(obj, dict):
+        raise RowParseError(f"probe entry is not an object: {obj!r}")
     if "id" not in obj:
         raise MissingField("probe object missing 'id'")
-    probe_id = int(obj["id"])
-    for required in ("is_public", "status"):
-        if required not in obj:
-            raise MissingField(f"probe {probe_id} missing '{required}'")
-    lat = obj.get("latitude")
-    lon = obj.get("longitude")
-    location = GeoPoint(float(lat), float(lon)) if lat is not None and lon is not None else None
-    address = obj.get("address_v4")
-    if address is not None:
-        address = str(ipaddress.IPv4Address(address))
-    return Probe(
-        id=probe_id,
-        asn_v4=check_asn(int(obj["asn_v4"])) if obj.get("asn_v4") is not None else None,
-        asn_v6=check_asn(int(obj["asn_v6"])) if obj.get("asn_v6") is not None else None,
-        location=location,
-        public_address_v4=address,
-        is_public=bool(obj["is_public"]),
-        is_connected=obj["status"] == "Connected",
-    )
-
-
-def probe_to_dict(probe: Probe) -> dict:
-    return {
-        "id": probe.id,
-        "asn_v4": probe.asn_v4,
-        "asn_v6": probe.asn_v6,
-        "latitude": probe.location.latitude if probe.location else None,
-        "longitude": probe.location.longitude if probe.location else None,
-        "address_v4": probe.public_address_v4,
-        "is_public": probe.is_public,
-        "status": "Connected" if probe.is_connected else "Disconnected",
-    }
+    try:
+        probe_id = int(obj["id"])
+        for required in ("is_public", "status"):
+            if required not in obj:
+                raise MissingField(f"probe {probe_id} missing '{required}'")
+        lat = obj.get("latitude")
+        lon = obj.get("longitude")
+        location = GeoPoint(float(lat), float(lon)) if lat is not None and lon is not None else None
+        address = obj.get("address_v4")
+        if address is not None:
+            address = str(ipaddress.IPv4Address(address))
+        asn_v4 = check_asn(int(obj["asn_v4"])) if obj.get("asn_v4") is not None else None
+        if obj.get("asn_v6") is not None:
+            check_asn(int(obj["asn_v6"]))
+        return Probe(
+            id=probe_id,
+            asn_v4=asn_v4,
+            location=location,
+            public_address_v4=address,
+            is_public=bool(obj["is_public"]),
+            is_connected=obj["status"] == "Connected",
+        )
+    except (TypeError, ValueError) as exc:
+        raise RowParseError(str(exc)) from exc
 
 
 def parse_probe_inventory(
@@ -203,41 +193,47 @@ def parse_probe_inventory(
     probes = []
     for obj in raw:
         try:
-            if not isinstance(obj, dict):
-                raise RowParseError(f"probe entry is not an object: {obj!r}")
             probes.append(probe_from_dict(obj))
         except IngestError as exc:
             _report(exc, errors)
-        except (ValueError, ipaddress.AddressValueError) as exc:
-            _report(RowParseError(str(exc)), errors)
     return probes
 
 
 def traceroute_from_dict(obj: dict, line: int | None = None) -> Traceroute:
-    """Build a Traceroute from one result object (one NDJSON line)."""
+    """Build a Traceroute from one result object (one NDJSON line).
+
+    Hop indices must increase and every reply must be {"x": ...} or
+    {"from": ..., "rtt": ...} with rtt absent, null or a number that is not
+    negative; each hop keeps the address of its first reply that is not a
+    timeout, or None.
+    """
+    if not isinstance(obj, dict):
+        raise RowParseError(f"traceroute entry is not an object: {obj!r}", line=line)
     for required in ("src_probe", "dst_probe", "src_asn", "dst_asn", "dst_addr", "af", "timestamp", "hops"):
         if required not in obj:
             raise MissingField(f"traceroute missing '{required}'", line=line)
-    hops = []
-    last_index = 0
-    for hop_obj in obj["hops"]:
-        if "hop" not in hop_obj or "results" not in hop_obj:
-            raise RowParseError("hop object needs 'hop' and 'results'", line=line)
-        index = int(hop_obj["hop"])
-        if index <= last_index:
-            raise HopOrderError(f"hop index {index} after {last_index}", line=line)
-        last_index = index
-        responses = []
-        for res in hop_obj["results"]:
-            if "x" in res:
-                responses.append(HopResponse())
-            elif "from" in res:
-                rtt = res.get("rtt")
-                responses.append(HopResponse(address=str(res["from"]), rtt_ms=float(rtt) if rtt is not None else None))
-            else:
-                raise RowParseError(f"unrecognized hop result: {res!r}", line=line)
-        hops.append(TracerouteHop(index=index, responses=tuple(responses)))
     try:
+        hops = []
+        last_index = 0
+        for hop_obj in obj["hops"]:
+            if "hop" not in hop_obj or "results" not in hop_obj:
+                raise RowParseError("hop object needs 'hop' and 'results'", line=line)
+            index = int(hop_obj["hop"])
+            if index <= last_index:
+                raise HopOrderError(f"hop index {index} after {last_index}", line=line)
+            last_index = index
+            first = None
+            for res in hop_obj["results"]:
+                if "x" in res:
+                    continue
+                if "from" not in res:
+                    raise RowParseError(f"unrecognized hop result: {res!r}", line=line)
+                rtt = res.get("rtt")
+                if rtt is not None and float(rtt) < 0:
+                    raise RowParseError(f"negative rtt: {float(rtt)}", line=line)
+                if first is None:
+                    first = str(res["from"])
+            hops.append(first)
         return Traceroute(
             src_probe_id=int(obj["src_probe"]),
             dst_probe_id=int(obj["dst_probe"]),
@@ -248,32 +244,8 @@ def traceroute_from_dict(obj: dict, line: int | None = None) -> Traceroute:
             timestamp=int(obj["timestamp"]),
             hops=tuple(hops),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise RowParseError(str(exc), line=line) from exc
-
-
-def traceroute_to_dict(tr: Traceroute) -> dict:
-    hops = []
-    for hop in tr.hops:
-        results = []
-        for resp in hop.responses:
-            if resp.is_timeout:
-                results.append({"x": "*"})
-            elif resp.rtt_ms is None:
-                results.append({"from": resp.address})
-            else:
-                results.append({"from": resp.address, "rtt": resp.rtt_ms})
-        hops.append({"hop": hop.index, "results": results})
-    return {
-        "src_probe": tr.src_probe_id,
-        "dst_probe": tr.dst_probe_id,
-        "src_asn": tr.src_asn,
-        "dst_asn": tr.dst_asn,
-        "dst_addr": tr.dst_address,
-        "af": tr.address_family,
-        "timestamp": tr.timestamp,
-        "hops": hops,
-    }
 
 
 def parse_traceroute_results(
@@ -293,8 +265,6 @@ def parse_traceroute_results(
             traceroutes.append(traceroute_from_dict(obj, line=lineno))
         except IngestError as exc:
             _report(exc, errors)
-        except (TypeError, ValueError) as exc:
-            _report(RowParseError(str(exc), line=lineno), errors)
     return traceroutes
 
 
@@ -359,12 +329,3 @@ def parse_capitals(
         capitals[code] = point
     return capitals
 
-
-# --- writers ---------------------------------------------------------------
-
-def format_probes(probes: list[Probe]) -> str:
-    return json.dumps([probe_to_dict(p) for p in probes], indent=2) + "\n"
-
-
-def format_traceroutes(traceroutes: list[Traceroute]) -> str:
-    return "".join(json.dumps(traceroute_to_dict(t), separators=(",", ":")) + "\n" for t in traceroutes)

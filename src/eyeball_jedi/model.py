@@ -199,7 +199,6 @@ class Probe:
 
     id: int
     asn_v4: int | None = None
-    asn_v6: int | None = None
     location: GeoPoint | None = None
     public_address_v4: str | None = None
     is_public: bool = False
@@ -218,41 +217,9 @@ class Probe:
 
 
 @dataclass(frozen=True)
-class HopResponse:
-    """One reply within a traceroute hop; address None marks a timeout."""
-
-    address: str | None = None
-    rtt_ms: float | None = None
-
-    def __post_init__(self):
-        if self.rtt_ms is not None and self.rtt_ms < 0:
-            raise ValueError(f"negative rtt: {self.rtt_ms}")
-
-    @property
-    def is_timeout(self) -> bool:
-        return self.address is None
-
-
-@dataclass(frozen=True)
-class TracerouteHop:
-    index: int
-    responses: tuple[HopResponse, ...]
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"hop index must be positive: {self.index}")
-        object.__setattr__(self, "responses", tuple(self.responses))
-
-    def first_address(self) -> str | None:
-        """Address of the first non-timeout response, or None if all timed out."""
-        for resp in self.responses:
-            if not resp.is_timeout:
-                return resp.address
-        return None
-
-
-@dataclass(frozen=True)
 class Traceroute:
+    """One run's envelope and, per hop, its first responding address (None: no answer)."""
+
     src_probe_id: int
     dst_probe_id: int
     src_asn: int
@@ -260,7 +227,7 @@ class Traceroute:
     dst_address: str
     address_family: int
     timestamp: int
-    hops: tuple[TracerouteHop, ...]
+    hops: tuple[str | None, ...]
 
     def __post_init__(self):
         check_asn(self.src_asn)
@@ -268,9 +235,6 @@ class Traceroute:
         if self.address_family not in (4, 6):
             raise ValueError(f"address_family must be 4 or 6: {self.address_family}")
         object.__setattr__(self, "hops", tuple(self.hops))
-        for a, b in zip(self.hops, self.hops[1:]):
-            if b.index <= a.index:
-                raise ValueError(f"hop indices not strictly increasing at {b.index}")
 
     @property
     def measurement_id(self) -> str:

@@ -80,8 +80,7 @@ class HopResolver:
         """The run's kept hops in order; a hop with no response is NO_RESPONSE."""
         memo = self._memo
         kept = []
-        for hop in tr.hops:
-            address = hop.first_address()
+        for address in tr.hops:
             if address is None:
                 kept.append(NO_RESPONSE)
                 continue

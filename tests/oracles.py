@@ -88,8 +88,7 @@ def reference_as_path(tr, prefix_table, marker=None) -> tuple:
     normalized by fixpoint_normalize.
     """
     elements = [tr.src_asn]
-    for hop in tr.hops:
-        address = hop.first_address()
+    for address in tr.hops:
         if address is None:
             elements.append(marker)
             continue
@@ -108,8 +107,7 @@ def reference_locality(tr, geo_table, country: str) -> str:
     classify_locality before hop resolution was shared.
     """
     saw_inside = False
-    for hop in tr.hops:
-        address = hop.first_address()
+    for address in tr.hops:
         if address is None or not _is_global(address):
             continue
         hop_country = geo_table.lookup(address)

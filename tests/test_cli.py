@@ -9,8 +9,16 @@ import pytest
 
 from eyeball_jedi import pipeline
 from eyeball_jedi.cli import EXIT_INPUT, EXIT_NO_DATA, EXIT_OK, main
+from eyeball_jedi.fetch import HttpClient
+from eyeball_jedi.ingest import (
+    parse_probe_inventory,
+    parse_traceroute_results,
+    probe_from_dict,
+    traceroute_from_dict,
+)
 from eyeball_jedi.model import EyeballNetwork, EyeballSet, GeoPoint, Probe
 from eyeball_jedi.selection import ProbeSelection
+from test_fetch import BASE, FakeSession, FreeLimiter, probe_obj, traceroute_obj
 
 CAPITAL = GeoPoint(50.0, 8.0)
 
@@ -264,7 +272,7 @@ class TestFetchCommand:
 
         def fake_inventory(base_url, country, client):
             seen["inventory"] = (base_url, country)
-            return [make_probe(7, 65001, "20.1.0.7")]
+            return [probe_obj(7)]
 
         def fake_results(base_url, measurement_ids, client):
             seen["measurements"] = tuple(measurement_ids)
@@ -284,6 +292,81 @@ class TestFetchCommand:
         out = capsys.readouterr().out
         assert "fetch: 1 probes" in out
         assert "fetch: 0 traceroutes" in out
+
+    def test_written_files_parse_to_what_the_server_sent(self, fetch_conf, monkeypatch):
+        probes = [probe_obj(1), {**probe_obj(2), "asn_v6": 65020, "latitude": None}]
+        runs = [traceroute_obj(timestamp=1700000001), traceroute_obj(timestamp=1700000002)]
+        serve(monkeypatch, {
+            f"{BASE}/probes?country=XX": {"results": probes, "next": None},
+            f"{BASE}/measurements/11/results": runs[:1],
+            f"{BASE}/measurements/22/results": runs[1:],
+        })
+        conf, probes_path, traces_path = fetch_conf(measurement_ids="11,22")
+        assert main(["fetch", "--config", str(conf), "--country", "XX"]) == EXIT_OK
+        assert json.loads(probes_path.read_text(encoding="utf-8")) == probes
+        assert parse_probe_inventory(probes_path.read_bytes()) == [probe_from_dict(p) for p in probes]
+        lines = traces_path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in lines] == runs
+        assert parse_traceroute_results(traces_path.read_bytes()) == [traceroute_from_dict(r) for r in runs]
+
+    @pytest.mark.parametrize("bad", [{**probe_obj(2), "asn_v4": "abc"}, 5], ids=["bad-asn", "not-an-object"])
+    def test_bad_server_object_exits_two(self, fetch_conf, monkeypatch, capsys, bad):
+        serve(monkeypatch, {f"{BASE}/probes?country=XX": {"results": [probe_obj(1), bad], "next": None}})
+        conf, probes_path, _ = fetch_conf()
+        probes_path.parent.mkdir(parents=True)
+        probes_path.write_text("previous\n", encoding="utf-8")
+        assert main(["fetch", "--config", str(conf), "--country", "XX"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+        assert probes_path.read_text(encoding="utf-8") == "previous\n"
+
+    def test_missing_traceroutes_path_fails_before_any_request(self, fetch_conf, monkeypatch, capsys):
+        session = serve(monkeypatch, {f"{BASE}/probes?country=XX": {"results": [probe_obj(1)], "next": None}})
+        conf, probes_path, _ = fetch_conf(measurement_ids="11", traceroutes=None)
+        probes_path.parent.mkdir(parents=True)
+        probes_path.write_bytes(b"[]\n")
+        assert main(["fetch", "--config", str(conf), "--country", "XX"]) == EXIT_INPUT
+        assert "traceroutes path" in capsys.readouterr().err
+        assert probes_path.read_bytes() == b"[]\n"
+        assert session.requests == []
+
+    def test_no_file_is_written_before_both_fetches_return(self, fetch_conf, monkeypatch):
+        serve(monkeypatch, {
+            f"{BASE}/probes?country=XX": {"results": [probe_obj(1)], "next": None},
+            f"{BASE}/measurements/11/results": [traceroute_obj()],
+        })
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("eyeball_jedi.cli.fetch_measurement_results", interrupted)
+        conf, probes_path, _ = fetch_conf(measurement_ids="11")
+        with pytest.raises(KeyboardInterrupt):
+            main(["fetch", "--config", str(conf), "--country", "XX"])
+        assert not probes_path.parent.exists()
+
+
+def serve(monkeypatch, routes):
+    """Point fetch at a fake server answering routes; returns its session."""
+    session = FakeSession(routes)
+    monkeypatch.setattr(
+        "eyeball_jedi.cli.HttpClient",
+        lambda rate_limit, api_key: HttpClient(session=session, limiter=FreeLimiter()),
+    )
+    return session
+
+
+@pytest.fixture
+def fetch_conf(tmp_path, fixtures_dir, out_dir):
+    """Builds a fetch config writing under tmp_path/fetched; returns (conf, probes, traces)."""
+    probes_path = tmp_path / "fetched" / "probes.json"
+    traces_path = tmp_path / "fetched" / "traces.ndjson"
+
+    def build(**overrides):
+        entries = {"probes": probes_path, "traceroutes": traces_path, "http_base_url": BASE}
+        conf = write_conf(tmp_path, fixtures_dir, out_dir, **{**entries, **overrides})
+        return conf, probes_path, traces_path
+
+    return build
 
 
 class TestErrorHandling:
@@ -397,4 +480,14 @@ class TestInterruptedWrites:
         before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
         fill_disk(monkeypatch)
         assert main(["plan", "--config", str(conf), "--country", "XX"]) == EXIT_INPUT
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+    def test_previous_svg_survives_render(self, conf, out_dir, golden_dir, monkeypatch, capsys):
+        out_dir.mkdir(parents=True)
+        (out_dir / "matrix_XX.json").write_bytes((golden_dir / "matrix_XX.json").read_bytes())
+        assert main(["render", "--config", str(conf), "--country", "XX"]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        fill_disk(monkeypatch)
+        assert main(["render", "--config", str(conf), "--country", "XX"]) == EXIT_INPUT
+        assert "No space left on device" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before

@@ -2,7 +2,7 @@
 
 import pytest
 
-from eyeball_jedi.errors import HttpError, PaginationLoop
+from eyeball_jedi.errors import HttpError, MissingField, PaginationLoop, RowParseError
 from eyeball_jedi.fetch import (
     HttpClient,
     RateLimiter,
@@ -95,8 +95,8 @@ class TestFetchProbeInventory:
         )
         probes = fetch_probe_inventory(BASE, "XX", client=client)
         assert len(probes) == 137
-        assert [p.id for p in probes[:3]] == [1, 2, 3]
-        assert probes[-1].id == 137
+        assert [p["id"] for p in probes[:3]] == [1, 2, 3]
+        assert probes[-1]["id"] == 137
         assert len(session.requests) == 2
 
     def test_country_filter_in_query(self):
@@ -133,15 +133,31 @@ class TestFetchProbeInventory:
         with pytest.raises(PaginationLoop):
             fetch_probe_inventory(BASE, client=client)
 
-    def test_probe_objects_are_normalized(self):
+    def test_probe_objects_come_back_as_received(self):
+        sent = {**probe_obj(7, asn=65010), "asn_v6": 65011, "extra": {"kept": True}}
+        client, _ = make_client({f"{BASE}/probes": {"results": [sent], "next": None}})
+        assert fetch_probe_inventory(BASE, client=client) == [sent]
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ({**probe_obj(2), "asn_v4": "abc"}, RowParseError),
+            ({"asn_v4": 65001}, MissingField),
+            (5, RowParseError),
+        ],
+    )
+    def test_invalid_probe_aborts_whole_fetch(self, bad, error):
         client, _ = make_client(
-            {f"{BASE}/probes": {"results": [probe_obj(7, asn=65010)], "next": None}}
+            {f"{BASE}/probes": {"results": [probe_obj(1), bad], "next": None}}
         )
-        (probe,) = fetch_probe_inventory(BASE, client=client)
-        assert probe.id == 7
-        assert probe.asn_v4 == 65010
-        assert probe.is_connected
-        assert probe.selectable
+        with pytest.raises(error):
+            fetch_probe_inventory(BASE, client=client)
+
+    @pytest.mark.parametrize("page", [[probe_obj(1)], {"results": 5}, None])
+    def test_page_without_results_array_is_a_row_error(self, page):
+        client, _ = make_client({f"{BASE}/probes": page})
+        with pytest.raises(RowParseError, match="results array"):
+            fetch_probe_inventory(BASE, client=client)
 
 
 class TestFetchMeasurementResults:
@@ -176,6 +192,29 @@ class TestFetchMeasurementResults:
         assert len(failures) == 1
         assert "af" in str(failures[0])
 
+    @pytest.mark.parametrize("bad_at", [0, 2])
+    def test_one_bad_run_drops_its_whole_id(self, bad_at):
+        bad = traceroute_obj(timestamp=1700000099)
+        bad["hops"][0]["results"][0]["rtt"] = -1.0
+        payload = [traceroute_obj(timestamp=1700000000 + i) for i in range(2)]
+        payload.insert(bad_at, bad)
+        client, _ = make_client(
+            {
+                f"{BASE}/measurements/1/results": payload,
+                f"{BASE}/measurements/2/results": [traceroute_obj()],
+            }
+        )
+        results, failures = fetch_measurement_results(BASE, [1, 2], client=client)
+        assert results == [traceroute_obj()]
+        assert len(failures) == 1 and isinstance(failures[0], RowParseError)
+
+    @pytest.mark.parametrize("payload", [{"results": []}, 5, None, [5]])
+    def test_payload_of_the_wrong_shape_is_a_failure(self, payload):
+        client, _ = make_client({f"{BASE}/measurements/1/results": payload})
+        results, failures = fetch_measurement_results(BASE, [1], client=client)
+        assert results == []
+        assert len(failures) == 1 and isinstance(failures[0], RowParseError)
+
     def test_empty_id_list_rejected(self):
         client, _ = make_client({})
         with pytest.raises(ValueError, match="non-empty"):
@@ -185,8 +224,7 @@ class TestFetchMeasurementResults:
         client, _ = make_client({f"{BASE}/measurements/9/results": [traceroute_obj()]})
         results, failures = fetch_measurement_results(BASE, [9], client=client)
         assert failures == []
-        assert results[0].src_asn == 65001
-        assert results[0].hops[1].first_address() == "20.2.0.9"
+        assert results == [traceroute_obj()]
 
 
 class TestHttpClient:

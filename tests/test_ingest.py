@@ -1,4 +1,5 @@
 import ipaddress
+import json
 
 import pytest
 
@@ -16,8 +17,6 @@ from eyeball_jedi.errors import (
 )
 from eyeball_jedi.ingest import (
     PopulationEstimateRow,
-    format_probes,
-    format_traceroutes,
     parse_capitals,
     parse_country_users,
     parse_geo_table,
@@ -26,6 +25,7 @@ from eyeball_jedi.ingest import (
     parse_probe_inventory,
     parse_traceroute_results,
     probe_from_dict,
+    traceroute_from_dict,
 )
 from eyeball_jedi.model import GeoPoint
 
@@ -139,7 +139,20 @@ class TestProbeInventory:
     def test_invalid_address_rejected(self):
         obj = self.full()
         obj["address_v4"] = "999.1.2.3"
-        with pytest.raises(Exception):
+        with pytest.raises(RowParseError):
+            probe_from_dict(obj)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"asn_v4": "abc"}, {"asn_v6": 0}, {"id": None}, {"latitude": 91.0}],
+    )
+    def test_bad_field_is_a_row_error(self, change):
+        with pytest.raises(RowParseError):
+            probe_from_dict({**self.full(), **change})
+
+    @pytest.mark.parametrize("obj", [5, None, [1], "probe"])
+    def test_non_object_is_a_row_error(self, obj):
+        with pytest.raises(RowParseError, match="not an object"):
             probe_from_dict(obj)
 
     def test_inventory_must_be_array(self):
@@ -170,9 +183,8 @@ class TestTraceroutes:
 
     def test_happy_path(self):
         (tr,) = parse_traceroute_results(self.LINE + "\n")
-        assert tr.src_asn == 65001 and len(tr.hops) == 2
-        assert tr.hops[1].responses[0].is_timeout
-        assert tr.hops[1].first_address() == "20.2.0.1"
+        assert tr.src_asn == 65001
+        assert tr.hops == ("20.1.0.9", "20.2.0.1")
 
     def test_blank_lines_skipped(self):
         assert len(parse_traceroute_results("\n" + self.LINE + "\n\n")) == 1
@@ -187,6 +199,11 @@ class TestTraceroutes:
         with pytest.raises(HopOrderError):
             parse_traceroute_results(bad)
 
+    @pytest.mark.parametrize("line", ["5", "[1, 2]", '"run"', "null"])
+    def test_non_object_line_is_a_row_error(self, line):
+        with pytest.raises(RowParseError, match="line 1: traceroute entry is not an object"):
+            parse_traceroute_results(line)
+
     def test_unknown_result_shape_rejected(self):
         bad = self.LINE.replace('{"x":"*"}', '{"y":"*"}')
         with pytest.raises(RowParseError):
@@ -198,6 +215,61 @@ class TestTraceroutes:
         trs = parse_traceroute_results(data, errors=errors)
         assert len(trs) == 2
         assert errors[0].line == 2
+
+    HEAD = LINE[: LINE.index('"hops":')]
+
+    @pytest.mark.parametrize(
+        "hops, outcome",
+        [
+            pytest.param('[{"hop":1,"results":[{"x":"*"},{"x":"*"}]},{"hop":2,"results":[{"from":"20.2.0.1","rtt":3.0}]}]', (None, "20.2.0.1"), id="timeout-only-hop"),
+            pytest.param('[{"hop":1,"results":[{"x":"*"},{"from":"20.1.0.9","rtt":1.5},{"from":"20.1.0.8","rtt":1.0}]}]', ("20.1.0.9",), id="x-before-from"),
+            pytest.param('[{"hop":1,"results":[{"from":"20.1.0.9"}]}]', ("20.1.0.9",), id="from-without-rtt"),
+            pytest.param('[{"hop":1,"results":[{"from":"20.1.0.9","rtt":null}]}]', ("20.1.0.9",), id="null-rtt"),
+            pytest.param('[{"hop":1,"results":[{"from":"20.1.0.9"}]},{"hop":3,"results":[{"x":"*"}]}]', ("20.1.0.9", None), id="gap-in-hop-index"),
+            pytest.param("[]", (), id="no-hops"),
+            pytest.param('[{"hop":1,"results":[{"from":"20.1.0.9","rtt":-0.5}]}]', RowParseError, id="negative-rtt"),
+            pytest.param('[{"hop":1,"results":[{"from":"20.1.0.9","rtt":1.0},{"from":"20.1.0.8","rtt":-1}]}]', RowParseError, id="negative-rtt-after-first-reply"),
+            pytest.param('[{"hop":1,"results":[{"from":"20.1.0.9","rtt":"fast"}]}]', RowParseError, id="non-numeric-rtt"),
+            pytest.param('[{"hop":1,"results":[{"from":"20.1.0.9","rtt":[1]}]}]', RowParseError, id="list-rtt"),
+            pytest.param('[{"hop":1,"results":[{"x":"*"}]},{"hop":1,"results":[{"x":"*"}]}]', HopOrderError, id="repeated-hop-index"),
+            pytest.param('[{"hop":2,"results":[{"x":"*"}]},{"hop":1,"results":[{"x":"*"}]}]', HopOrderError, id="decreasing-hop-index"),
+            pytest.param('[{"hop":0,"results":[{"x":"*"}]}]', HopOrderError, id="hop-index-zero"),
+            pytest.param('[{"hop":"first","results":[{"x":"*"}]}]', RowParseError, id="non-numeric-hop-index"),
+            pytest.param(None, MissingField, id="missing-hops-key"),
+            pytest.param('[{"hop":1}]', RowParseError, id="hop-missing-results"),
+            pytest.param('[{"hop":1,"results":[{"y":"*"}]}]', RowParseError, id="unknown-result-shape"),
+            pytest.param("[1]", RowParseError, id="hop-not-an-object"),
+            pytest.param("[null]", RowParseError, id="null-hop"),
+        ],
+    )
+    def test_edge_forms(self, hops, outcome):
+        """The second line's hop tuple, or its one error and that error's line; None drops "hops"."""
+        errors: list[IngestError] = []
+        second = f'{self.HEAD}"hops":{hops}}}' if hops is not None else self.HEAD[:-1] + "}"
+        data = f"{self.LINE}\n{second}\n"
+        trs = parse_traceroute_results(data, errors=errors)
+        if isinstance(outcome, tuple):
+            assert errors == []
+            assert trs[1].hops == outcome
+        else:
+            assert len(trs) == 1
+            assert [(type(e), e.line) for e in errors] == [(outcome, 2)]
+
+
+class TestRoundTrips:
+    """Objects written the way the fetch command writes them parse back to the same values."""
+
+    def test_probes(self):
+        objs = [TestProbeInventory().full(), {**TestProbeInventory().full(), "id": 8, "asn_v6": 65020}]
+        text = json.dumps(objs, indent=2) + "\n"
+        assert parse_probe_inventory(text) == [probe_from_dict(o) for o in objs]
+
+    def test_traceroutes(self):
+        objs = [json.loads(TestTraceroutes.LINE), {**json.loads(TestTraceroutes.LINE), "timestamp": 1700000001}]
+        text = "".join(json.dumps(o, separators=(",", ":")) + "\n" for o in objs)
+        trs = parse_traceroute_results(text)
+        assert trs == [traceroute_from_dict(o) for o in objs]
+        assert parse_traceroute_results(text.encode("utf-8")) == trs
 
 
 class TestTables:
@@ -248,16 +320,3 @@ class TestTables:
     def test_capitals_duplicate(self):
         with pytest.raises(DuplicateCountry):
             parse_capitals("country,latitude,longitude\nDE,52.52,13.405\nDE,0,0\n")
-
-
-class TestRoundTrips:
-    def test_probes(self):
-        probes = parse_probe_inventory(
-            '[{"id": 1, "asn_v4": 65001, "asn_v6": null, "latitude": 50.0, "longitude": 8.0,'
-            ' "address_v4": "20.1.0.1", "is_public": true, "status": "Connected"}]'
-        )
-        assert parse_probe_inventory(format_probes(probes)) == probes
-
-    def test_traceroutes(self):
-        trs = parse_traceroute_results(TestTraceroutes.LINE + "\n")
-        assert parse_traceroute_results(format_traceroutes(trs)) == trs

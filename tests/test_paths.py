@@ -16,12 +16,10 @@ from eyeball_jedi.lpm import LpmTable
 from eyeball_jedi.model import (
     Directness,
     DirectnessVerdict,
-    HopResponse,
     Locality,
     LocalityVerdict,
     PathClassification,
     Traceroute,
-    TracerouteHop,
 )
 from oracles import fixpoint_normalize, reference_as_path, reference_locality
 
@@ -78,23 +76,13 @@ def resolved(tr):
     return make_resolver().hops(tr)
 
 
-def hop(index, *addresses):
-    """Build a hop; None stands for a timeout response."""
-    return TracerouteHop(
-        index=index,
-        responses=tuple(
-            HopResponse(address=a, rtt_ms=None if a is None else 1.0) for a in addresses
-        ),
-    )
+def hop(*responses):
+    """A hop's first responding address; None stands for a timeout response."""
+    return next((a for a in responses if a is not None), None)
 
 
 def make_traceroute(src_asn, dst_asn, hop_specs, dst_address=ADDR_B):
-    hops = []
-    for i, spec in enumerate(hop_specs, start=1):
-        if isinstance(spec, tuple):
-            hops.append(hop(i, *spec))
-        else:
-            hops.append(hop(i, spec))
+    hops = [hop(*spec) if isinstance(spec, tuple) else hop(spec) for spec in hop_specs]
     return Traceroute(
         src_probe_id=11,
         dst_probe_id=22,
@@ -289,7 +277,7 @@ class TestResolveOnce:
             scope, ws.traceroutes, ws.prefix_table, ws.geo_table
         )
         cited = {mid for runs in evidence.values() for mid, _ in runs}
-        hops = [h.first_address() for tr in ws.traceroutes if tr.measurement_id in cited for h in tr.hops]
+        hops = [a for tr in ws.traceroutes if tr.measurement_id in cited for a in tr.hops]
         addresses = {a for a in hops if a is not None}
         assert matched > 0 and len(hops) > len(addresses)
         assert parses == Counter(dict.fromkeys(addresses, 1))
@@ -306,7 +294,7 @@ class TestResolveOnce:
             and tr.src_probe_id in scope.selection.probe_ids(tr.src_asn)
             and tr.dst_probe_id in scope.selection.probe_ids(tr.dst_asn)
         )
-        run = dataclasses.replace(template, hops=tuple(hop(i, a) for i, a in enumerate(fresh, 1)))
+        run = dataclasses.replace(template, hops=tuple(fresh))
         _, _, matched = pipeline.gather_evidence(scope, [run], ws.prefix_table, ws.geo_table)
         assert matched == 1
         assert parses == Counter(dict.fromkeys(fresh[:-1], 1))
