@@ -28,20 +28,13 @@ BUCKET_EDGES = (0.2, 0.4, 0.6, 0.8)
 
 @dataclass(frozen=True)
 class CoverageReport:
-    country: str
     eyeball_set: EyeballSet
-    covered_networks: tuple[tuple[int, int, int], ...]  # (asn, probe count, estimated users)
-    uncovered_networks: tuple[tuple[int, int], ...]  # (asn, estimated users)
+    probe_counts: dict[int, int]  # covered asn -> selectable probes in it
     covered_user_fraction: float
 
-    @property
-    def covered_asns(self) -> set[int]:
-        return {asn for asn, _, _ in self.covered_networks}
-
     def to_dict(self) -> dict:
-        probe_counts = {asn: count for asn, count, _ in self.covered_networks}
         return {
-            "country": self.country,
+            "country": self.eyeball_set.country,
             "country_users": self.eyeball_set.country_users,
             "capital": self.eyeball_set.capital.to_dict(),
             "covered_fraction": self.eyeball_set.covered_fraction,
@@ -49,8 +42,8 @@ class CoverageReport:
             "networks": [
                 {
                     **net.to_dict(),
-                    "covered": net.asn in probe_counts,
-                    "probe_count": probe_counts.get(net.asn, 0),
+                    "covered": net.asn in self.probe_counts,
+                    "probe_count": self.probe_counts.get(net.asn, 0),
                 }
                 for net in self.eyeball_set.networks
             ],
@@ -105,26 +98,13 @@ def select_dominant_networks(
 
 
 def compute_probe_coverage(eyeball_set: EyeballSet, probes: Iterable[Probe]) -> CoverageReport:
-    """Partition the set's networks by whether any selectable probe sits in them."""
-    counts: Counter[int] = Counter()
-    for probe in probes:
-        if probe.selectable:
-            counts[probe.asn_v4] += 1
-    covered = []
-    uncovered = []
-    covered_fractions = []
-    for net in eyeball_set.networks:
-        if counts[net.asn] > 0:
-            covered.append((net.asn, counts[net.asn], net.estimated_users))
-            covered_fractions.append(net.user_fraction)
-        else:
-            uncovered.append((net.asn, net.estimated_users))
+    """Count the selectable probes in each of the set's networks that has any."""
+    counts = Counter(probe.asn_v4 for probe in probes if probe.selectable)
+    covered = [net for net in eyeball_set.networks if counts[net.asn] > 0]
     return CoverageReport(
-        country=eyeball_set.country,
         eyeball_set=eyeball_set,
-        covered_networks=tuple(covered),
-        uncovered_networks=tuple(uncovered),
-        covered_user_fraction=math.fsum(covered_fractions),
+        probe_counts={net.asn: counts[net.asn] for net in covered},
+        covered_user_fraction=math.fsum(net.user_fraction for net in covered),
     )
 
 
@@ -140,8 +120,8 @@ def coverage_bucket(covered_user_fraction: float) -> int:
 def coverage_world_report(reports: Iterable[CoverageReport]) -> list[tuple[str, float, int]]:
     """(country, covered_user_fraction, bucket) rows sorted by country code."""
     return [
-        (r.country, r.covered_user_fraction, coverage_bucket(r.covered_user_fraction))
-        for r in sorted(reports, key=lambda r: r.country)
+        (r.eyeball_set.country, r.covered_user_fraction, coverage_bucket(r.covered_user_fraction))
+        for r in sorted(reports, key=lambda r: r.eyeball_set.country)
     ]
 
 

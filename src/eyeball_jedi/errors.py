@@ -1,8 +1,7 @@
 """Exception types shared across the pipeline.
 
 Parsers raise IngestError subclasses carrying a 1-based line number where
-one applies; in collect mode (see ingest) the same objects are accumulated
-instead of raised.
+one applies.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 The remote payloads use the same schemas as the offline files, so each
 fetched object is checked by the parser that reads those files and then
 returned as received. All requests go through one rate limiter (default
-ceiling 4 requests/second).
+ceiling 4 requests/second), and each one gives up once the server has
+sent nothing for HTTP_TIMEOUT_S seconds.
 
 Wire format:
   GET {base}/probes?country=CC      -> {"results": [probe objects], "next": url or null}
@@ -21,6 +22,8 @@ from .errors import HttpError, IngestError, PaginationLoop, RowParseError
 from .ingest import probe_from_dict, traceroute_from_dict
 
 DEFAULT_RATE_LIMIT = 4.0
+#: seconds to wait for a connection or for the next bytes of a response
+HTTP_TIMEOUT_S = 30.0
 
 
 class RateLimiter:
@@ -72,7 +75,7 @@ class HttpClient:
 
     def get_json(self, url: str) -> Any:
         self._limiter.acquire()
-        response = self._session.get(url, headers=self._headers)
+        response = self._session.get(url, headers=self._headers, timeout=HTTP_TIMEOUT_S)
         if response.status_code != 200:
             raise HttpError(response.status_code, url)
         return response.json()
@@ -81,8 +84,8 @@ class HttpClient:
 def fetch_probe_inventory(
     base_url: str,
     country: str | None = None,
-    client: HttpClient | None = None,
-    **client_kwargs,
+    *,
+    client: HttpClient,
 ) -> list[dict]:
     """Fetch the (optionally country-filtered) probe inventory, all pages.
 
@@ -90,7 +93,6 @@ def fetch_probe_inventory(
     Any non-200 page or invalid probe object aborts the whole fetch; a page
     URL seen twice raises PaginationLoop.
     """
-    client = client if client is not None else HttpClient(**client_kwargs)
     query = f"?{urlencode({'country': country})}" if country else ""
     url = f"{base_url.rstrip('/')}/probes{query}"
     seen = set()
@@ -113,18 +115,18 @@ def fetch_probe_inventory(
 def fetch_measurement_results(
     base_url: str,
     measurement_ids: list[int],
-    client: HttpClient | None = None,
-    **client_kwargs,
+    *,
+    client: HttpClient,
 ) -> tuple[list[dict], list[Exception]]:
     """Fetch traceroute results for each measurement id.
 
     Each id's payload is kept whole or not at all. One id failing (HTTP
     error or any malformed run) does not abort the rest; failures come back
-    alongside the successfully fetched results.
+    alongside the successfully fetched results; a malformed payload's error
+    names its measurement id.
     """
     if not measurement_ids:
         raise ValueError("measurement_ids must be non-empty")
-    client = client if client is not None else HttpClient(**client_kwargs)
     results: list[dict] = []
     failures: list[Exception] = []
     for mid in measurement_ids:
@@ -132,10 +134,12 @@ def fetch_measurement_results(
         try:
             payload = client.get_json(url)
             if not isinstance(payload, list):
-                raise RowParseError(f"results of measurement {mid} are not an array")
+                raise RowParseError("results are not an array")
             for obj in payload:
                 traceroute_from_dict(obj)
         except (HttpError, IngestError) as exc:
+            if isinstance(exc, IngestError):
+                exc.args = (f"measurement {mid}: {exc}",)
             failures.append(exc)
             continue
         results.extend(payload)

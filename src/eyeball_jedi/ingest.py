@@ -5,13 +5,11 @@ population shares, country user counts, prefix-to-AS and prefix-to-country
 mappings and capitals, a JSON array for the probe inventory, and
 newline-delimited JSON for traceroute results.
 
-Each parser raises on the first bad record by default. Passing a list as
-``errors`` switches it to collect mode: record-level problems are appended
-to that list and parsing continues (structural problems such as a bad
-header still raise). Input that is not UTF-8 is an IngestError naming the
-first bad byte. probe_from_dict and traceroute_from_dict check one object
-each and raise only IngestError, so fetch validates server objects with
-them too.
+Each parser raises an IngestError on the first bad record, naming its
+1-based line where the format has lines; input that is not UTF-8 is an
+IngestError naming the first bad byte. probe_from_dict and
+traceroute_from_dict check one object each and raise only IngestError, so
+fetch validates server objects with them too.
 """
 
 from __future__ import annotations
@@ -51,12 +49,6 @@ class PopulationEstimateRow:
     fraction_percent: float
 
 
-@dataclass(frozen=True)
-class CountryUsersRow:
-    country: str
-    internet_users: int
-
-
 def _text(data: str | bytes) -> str:
     if isinstance(data, str):
         return data
@@ -66,13 +58,7 @@ def _text(data: str | bytes) -> str:
         raise IngestError(f"not UTF-8: byte offset {exc.start}") from exc
 
 
-def _report(err: IngestError, errors: list[IngestError] | None) -> None:
-    if errors is None:
-        raise err
-    errors.append(err)
-
-
-def _csv_rows(text: str, header: str, n_fields: int, errors):
+def _csv_rows(text: str, header: str, n_fields: int):
     """Yield (line_number, fields) for each record after a validated header."""
     lines = list(csv_reader(io.StringIO(text)))
     raw_lines = text.splitlines()
@@ -83,8 +69,7 @@ def _csv_rows(text: str, header: str, n_fields: int, errors):
         if not fields:
             continue
         if len(fields) != n_fields:
-            _report(RowParseError(f"expected {n_fields} fields, got {len(fields)}", line=lineno), errors)
-            continue
+            raise RowParseError(f"expected {n_fields} fields, got {len(fields)}", line=lineno)
         yield lineno, [f.strip() for f in fields]
 
 
@@ -95,9 +80,7 @@ def _parse_fraction_percent(raw: str) -> float:
     return value
 
 
-def parse_population_estimates(
-    data: str | bytes, errors: list[IngestError] | None = None
-) -> list[PopulationEstimateRow]:
+def parse_population_estimates(data: str | bytes) -> list[PopulationEstimateRow]:
     """Read per-(country, AS) user-population shares, in percent.
 
     Repeated (country, asn) keys are collapsed keeping the last occurrence,
@@ -105,7 +88,7 @@ def parse_population_estimates(
     """
     collected: dict[tuple[str, int], PopulationEstimateRow] = {}
     for lineno, (country, asn_raw, frac_raw) in _csv_rows(
-        _text(data), "country,asn,fraction_percent", 3, errors
+        _text(data), "country,asn,fraction_percent", 3
     ):
         try:
             row = PopulationEstimateRow(
@@ -114,8 +97,7 @@ def parse_population_estimates(
                 fraction_percent=_parse_fraction_percent(frac_raw),
             )
         except ValueError as exc:
-            _report(RowParseError(str(exc), line=lineno), errors)
-            continue
+            raise RowParseError(str(exc), line=lineno) from exc
         key = (row.country, row.asn)
         if key in collected:
             log.warning("population row for %s AS%d repeated; keeping the later row", *key)
@@ -123,25 +105,20 @@ def parse_population_estimates(
     return list(collected.values())
 
 
-def parse_country_users(
-    data: str | bytes, errors: list[IngestError] | None = None
-) -> dict[str, int]:
+def parse_country_users(data: str | bytes) -> dict[str, int]:
     """Read Internet-user counts per country into a {country: users} mapping."""
     users: dict[str, int] = {}
-    for lineno, (country, count_raw) in _csv_rows(
-        _text(data), "country,internet_users", 2, errors
-    ):
+    for lineno, (country, count_raw) in _csv_rows(_text(data), "country,internet_users", 2):
         try:
-            row = CountryUsersRow(country=check_country_code(country), internet_users=int(count_raw))
-            if row.internet_users < 0:
+            code = check_country_code(country)
+            count = int(count_raw)
+            if count < 0:
                 raise ValueError(f"internet_users must be non-negative: {count_raw}")
         except ValueError as exc:
-            _report(RowParseError(str(exc), line=lineno), errors)
-            continue
-        if row.country in users:
-            _report(DuplicateCountry(f"country {row.country} listed twice", line=lineno), errors)
-            continue
-        users[row.country] = row.internet_users
+            raise RowParseError(str(exc), line=lineno) from exc
+        if code in users:
+            raise DuplicateCountry(f"country {code} listed twice", line=lineno)
+        users[code] = count
     return users
 
 
@@ -176,13 +153,11 @@ def probe_from_dict(obj: dict) -> Probe:
             is_public=bool(obj["is_public"]),
             is_connected=obj["status"] == "Connected",
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise RowParseError(str(exc)) from exc
 
 
-def parse_probe_inventory(
-    data: str | bytes, errors: list[IngestError] | None = None
-) -> list[Probe]:
+def parse_probe_inventory(data: str | bytes) -> list[Probe]:
     """Read the probe inventory (JSON array of probe objects)."""
     try:
         raw = json.loads(_text(data))
@@ -190,22 +165,17 @@ def parse_probe_inventory(
         raise JsonSyntaxError(exc.msg, line=exc.lineno) from exc
     if not isinstance(raw, list):
         raise JsonSyntaxError("probe inventory must be a JSON array")
-    probes = []
-    for obj in raw:
-        try:
-            probes.append(probe_from_dict(obj))
-        except IngestError as exc:
-            _report(exc, errors)
-    return probes
+    return [probe_from_dict(obj) for obj in raw]
 
 
 def traceroute_from_dict(obj: dict, line: int | None = None) -> Traceroute:
     """Build a Traceroute from one result object (one NDJSON line).
 
-    Hop indices must increase and every reply must be {"x": ...} or
-    {"from": ..., "rtt": ...} with rtt absent, null or a number that is not
-    negative; each hop keeps the address of its first reply that is not a
-    timeout, or None.
+    Hop indices must be JSON integers that increase, and each hop's
+    results must be an array of {"x": ...} or {"from": ..., "rtt": ...}
+    objects with rtt absent, null or a finite number that is not negative;
+    each hop keeps the address of its first reply that is not a timeout, or
+    None.
     """
     if not isinstance(obj, dict):
         raise RowParseError(f"traceroute entry is not an object: {obj!r}", line=line)
@@ -218,19 +188,27 @@ def traceroute_from_dict(obj: dict, line: int | None = None) -> Traceroute:
         for hop_obj in obj["hops"]:
             if "hop" not in hop_obj or "results" not in hop_obj:
                 raise RowParseError("hop object needs 'hop' and 'results'", line=line)
-            index = int(hop_obj["hop"])
+            index = hop_obj["hop"]
+            if type(index) is not int:
+                raise RowParseError(f"hop index is not an integer: {index!r}", line=line)
             if index <= last_index:
                 raise HopOrderError(f"hop index {index} after {last_index}", line=line)
             last_index = index
+            results = hop_obj["results"]
+            if type(results) is not list:
+                raise RowParseError(f"hop results are not an array: {results!r}", line=line)
             first = None
-            for res in hop_obj["results"]:
+            for res in results:
+                if type(res) is not dict or ("x" not in res and "from" not in res):
+                    raise RowParseError(f"unrecognized hop result: {res!r}", line=line)
                 if "x" in res:
                     continue
-                if "from" not in res:
-                    raise RowParseError(f"unrecognized hop result: {res!r}", line=line)
                 rtt = res.get("rtt")
-                if rtt is not None and float(rtt) < 0:
-                    raise RowParseError(f"negative rtt: {float(rtt)}", line=line)
+                if rtt is not None:
+                    if not (type(rtt) is int or type(rtt) is float and math.isfinite(rtt)):
+                        raise RowParseError(f"rtt is not a finite number: {rtt!r}", line=line)
+                    if rtt < 0:
+                        raise RowParseError(f"negative rtt: {float(rtt)}", line=line)
                 if first is None:
                     first = str(res["from"])
             hops.append(first)
@@ -244,13 +222,11 @@ def traceroute_from_dict(obj: dict, line: int | None = None) -> Traceroute:
             timestamp=int(obj["timestamp"]),
             hops=tuple(hops),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise RowParseError(str(exc), line=line) from exc
 
 
-def parse_traceroute_results(
-    data: str | bytes, errors: list[IngestError] | None = None
-) -> list[Traceroute]:
+def parse_traceroute_results(data: str | bytes) -> list[Traceroute]:
     """Read newline-delimited JSON traceroute results."""
     traceroutes = []
     for lineno, line in enumerate(_text(data).splitlines(), start=1):
@@ -259,73 +235,58 @@ def parse_traceroute_results(
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            _report(JsonSyntaxError(exc.msg, line=lineno), errors)
-            continue
-        try:
-            traceroutes.append(traceroute_from_dict(obj, line=lineno))
-        except IngestError as exc:
-            _report(exc, errors)
+            raise JsonSyntaxError(exc.msg, line=lineno) from exc
+        traceroutes.append(traceroute_from_dict(obj, line=lineno))
     return traceroutes
 
 
-def parse_prefix_table(
-    data: str | bytes, errors: list[IngestError] | None = None
-) -> LpmTable:
+def parse_prefix_table(data: str | bytes) -> LpmTable:
     """Read prefix,origin_asn rows into a longest-prefix-match table."""
     table = LpmTable()
-    for lineno, (prefix, asn_raw) in _csv_rows(_text(data), "prefix,origin_asn", 2, errors):
+    for lineno, (prefix, asn_raw) in _csv_rows(_text(data), "prefix,origin_asn", 2):
         try:
             network = ipaddress.ip_network(prefix, strict=False)
         except ValueError as exc:
-            _report(InvalidCidr(str(exc), line=lineno), errors)
-            continue
+            raise InvalidCidr(str(exc), line=lineno) from exc
         try:
             asn = check_asn(int(asn_raw))
         except ValueError as exc:
-            _report(InvalidAsn(str(exc), line=lineno), errors)
-            continue
+            raise InvalidAsn(str(exc), line=lineno) from exc
         table.add(network, asn)
     return table
 
 
-def parse_geo_table(
-    data: str | bytes, errors: list[IngestError] | None = None
-) -> LpmTable:
+def parse_geo_table(data: str | bytes) -> LpmTable:
     """Read prefix,country rows; '??' marks explicitly unknown geolocation."""
     table = LpmTable()
-    for lineno, (prefix, country) in _csv_rows(_text(data), "prefix,country", 2, errors):
+    for lineno, (prefix, country) in _csv_rows(_text(data), "prefix,country", 2):
         try:
             network = ipaddress.ip_network(prefix, strict=False)
         except ValueError as exc:
-            _report(InvalidCidr(str(exc), line=lineno), errors)
-            continue
+            raise InvalidCidr(str(exc), line=lineno) from exc
         if country == GEO_UNKNOWN:
             table.add(network, None)
             continue
         try:
             table.add(network, check_country_code(country))
         except ValueError as exc:
-            _report(InvalidCountry(str(exc), line=lineno), errors)
+            raise InvalidCountry(str(exc), line=lineno) from exc
     return table
 
 
-def parse_capitals(
-    data: str | bytes, errors: list[IngestError] | None = None
-) -> dict[str, GeoPoint]:
+def parse_capitals(data: str | bytes) -> dict[str, GeoPoint]:
     """Read capital coordinates per country."""
     capitals: dict[str, GeoPoint] = {}
     for lineno, (country, lat_raw, lon_raw) in _csv_rows(
-        _text(data), "country,latitude,longitude", 3, errors
+        _text(data), "country,latitude,longitude", 3
     ):
         try:
             code = check_country_code(country)
             point = GeoPoint(float(lat_raw), float(lon_raw))
         except ValueError as exc:
-            _report(RowParseError(str(exc), line=lineno), errors)
-            continue
+            raise RowParseError(str(exc), line=lineno) from exc
         if code in capitals:
-            _report(DuplicateCountry(f"country {code} listed twice", line=lineno), errors)
-            continue
+            raise DuplicateCountry(f"country {code} listed twice", line=lineno)
         capitals[code] = point
     return capitals
 

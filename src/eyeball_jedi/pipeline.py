@@ -344,7 +344,7 @@ def _write(path: Path, text: str) -> None:
 
 def write_coverage_outputs(out_dir: Path, reports: list[CoverageReport]) -> None:
     for report in reports:
-        _write(out_dir / f"coverage_{report.country}.json", format_coverage_report(report))
+        _write(out_dir / f"coverage_{report.eyeball_set.country}.json", format_coverage_report(report))
     _write(out_dir / "coverage_world.csv", format_world_csv(coverage_world_report(reports)))
 
 

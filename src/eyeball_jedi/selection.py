@@ -29,7 +29,6 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
 
 @dataclass(frozen=True)
 class ProbeSelection:
-    country: str
     per_asn: Mapping[int, tuple[Probe, Probe]]  # asn -> (closest, farthest)
 
     def __post_init__(self):
@@ -63,7 +62,7 @@ def select_probes(eyeball_set: EyeballSet, probes: Iterable[Probe]) -> ProbeSele
         closest = min(candidates, key=lambda c: (c[0], c[1].id))[1]
         farthest = max(candidates, key=lambda c: (c[0], -c[1].id))[1]
         per_asn[asn] = (closest, farthest)
-    return ProbeSelection(country=eyeball_set.country, per_asn=per_asn)
+    return ProbeSelection(per_asn=per_asn)
 
 
 def format_selection(selection: ProbeSelection, eyeball_set: EyeballSet) -> str:

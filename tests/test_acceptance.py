@@ -55,7 +55,7 @@ def test_criterion_1_sixteen_network_metrics():
     ]
     start = time.perf_counter()
     eyeball_set = select_dominant_networks(rows, 10_000_000, CAPITAL)
-    matrix = build_matrix(eyeball_set, ProbeSelection("XX", {}), {})
+    matrix = build_matrix(eyeball_set, ProbeSelection({}), {})
     metrics = compute_metrics(matrix)
     elapsed = time.perf_counter() - start
 

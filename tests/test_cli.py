@@ -3,9 +3,11 @@
 import errno
 import json
 import logging
+import math
 from pathlib import Path
 
 import pytest
+import requests
 
 from eyeball_jedi import pipeline
 from eyeball_jedi.cli import EXIT_INPUT, EXIT_NO_DATA, EXIT_OK, main
@@ -43,7 +45,7 @@ def make_set(fraction_by_asn):
 
 
 def make_selection(probes_by_asn):
-    return ProbeSelection(country="XX", per_asn=probes_by_asn)
+    return ProbeSelection(per_asn=probes_by_asn)
 
 
 class TestBuildPlan:
@@ -329,6 +331,25 @@ class TestFetchCommand:
         assert probes_path.read_bytes() == b"[]\n"
         assert session.requests == []
 
+    @pytest.mark.parametrize("slow_url", [f"{BASE}/probes?country=XX", f"{BASE}/measurements/11/results"])
+    def test_timeout_exits_two_and_writes_nothing(self, fetch_conf, monkeypatch, capsys, slow_url):
+        session = serve(monkeypatch, {
+            f"{BASE}/probes?country=XX": {"results": [probe_obj(1)], "next": None},
+            f"{BASE}/measurements/11/results": [traceroute_obj()],
+        })
+        answer = session.get
+
+        def get(url, headers=None, timeout=None):
+            if url == slow_url:
+                raise requests.exceptions.Timeout(f"read timed out after {timeout} s")
+            return answer(url, headers=headers, timeout=timeout)
+
+        session.get = get
+        conf, probes_path, _ = fetch_conf(measurement_ids="11")
+        assert main(["fetch", "--config", str(conf), "--country", "XX"]) == EXIT_INPUT
+        assert "timed out" in capsys.readouterr().err
+        assert not probes_path.parent.exists()
+
     def test_no_file_is_written_before_both_fetches_return(self, fetch_conf, monkeypatch):
         serve(monkeypatch, {
             f"{BASE}/probes?country=XX": {"results": [probe_obj(1)], "next": None},
@@ -425,6 +446,16 @@ class TestErrorHandling:
         assert main(["analyze", "--config", str(conf), "--country", "XX"]) == EXIT_INPUT
         bad_line = text.count("\n") + 1
         assert f"error: prefix2as input {broken}: line {bad_line}: " in capsys.readouterr().err
+
+    def test_infinite_number_in_a_run_exits_two(self, tmp_path, fixtures_dir, out_dir, capsys):
+        text = (fixtures_dir / "traceroutes.ndjson").read_text(encoding="utf-8")
+        first = text.splitlines()[0]
+        broken = tmp_path / "traceroutes.ndjson"
+        broken.write_text(text + json.dumps({**json.loads(first), "timestamp": math.inf}) + "\n", encoding="utf-8")
+        conf = write_conf(tmp_path, fixtures_dir, out_dir, traceroutes=broken)
+        assert main(["analyze", "--config", str(conf), "--country", "XX"]) == EXIT_INPUT
+        bad_line = text.count("\n") + 1
+        assert f"error: traceroutes input {broken}: line {bad_line}: " in capsys.readouterr().err
 
     def test_bad_cap_override(self, conf, capsys):
         assert main(["coverage", "--config", str(conf), "--all", "--cap", "1.5"]) == EXIT_INPUT

@@ -135,27 +135,26 @@ class TestComputeProbeCoverage:
     def test_one_selectable_probe_covers(self):
         es = select_dominant_networks(rows([25.0, 75.0]), 33_000_000, CAPITAL)
         report = compute_probe_coverage(es, [probe(1, 65001)])
-        assert report.covered_asns == {65001}
-        covered = dict((asn, users) for asn, _count, users in report.covered_networks)
-        assert covered[65001] == 8_250_000
+        assert report.probe_counts == {65001: 1}
+        assert abs(report.covered_user_fraction - 0.25) < 1e-9
 
     def test_non_selectable_probes_do_not_cover(self):
         es = select_dominant_networks(rows([100.0]), 1_000_000, CAPITAL)
         report = compute_probe_coverage(es, [probe(1, 65001, selectable=False)])
-        assert report.covered_asns == set()
+        assert report.probe_counts == {}
         assert report.covered_user_fraction == 0.0
 
     def test_partition_and_exact_user_sums(self):
         es = select_dominant_networks(rows([40.0, 25.0, 20.0, 11.0]), 9_999_999, CAPITAL)
-        report = compute_probe_coverage(es, [probe(1, 65001), probe(2, 65003)])
-        covered_asns = {asn for asn, _, _ in report.covered_networks}
-        uncovered_asns = {asn for asn, _ in report.uncovered_networks}
-        assert covered_asns | uncovered_asns == set(es.asns)
-        assert covered_asns & uncovered_asns == set()
-        total = sum(u for _, _, u in report.covered_networks) + sum(
-            u for _, u in report.uncovered_networks
-        )
-        assert total == sum(n.estimated_users for n in es.networks)
+        probes = [probe(1, 65001), probe(2, 65001), probe(3, 65003, selectable=False), probe(4, 65004)]
+        report = compute_probe_coverage(es, probes)
+        assert report.probe_counts == {65001: 2, 65004: 1}
+        networks = report.to_dict()["networks"]
+        assert {n["asn"]: n["probe_count"] for n in networks} == {65001: 2, 65002: 0, 65003: 0, 65004: 1}
+        assert all(n["covered"] == (n["probe_count"] > 0) for n in networks)
+        covered = sum(n["estimated_users"] for n in networks if n["covered"])
+        uncovered = sum(n["estimated_users"] for n in networks if not n["covered"])
+        assert covered + uncovered == sum(n.estimated_users for n in es.networks)
 
     def test_covered_fraction_sums_covered_networks(self):
         es = select_dominant_networks(rows([40.0, 25.0, 20.0]), 1_000_000, CAPITAL)

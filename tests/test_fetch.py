@@ -1,5 +1,7 @@
 """HTTP fetching against a fake session: pagination, failures, pacing."""
 
+import math
+
 import pytest
 
 from eyeball_jedi.errors import HttpError, MissingField, PaginationLoop, RowParseError
@@ -23,14 +25,17 @@ class FakeResponse:
 
 
 class FakeSession:
-    """Maps exact URLs to payloads; a ('error', code) entry returns that status."""
+    """Maps exact URLs to payloads; a ('error', code) entry returns that status.
+
+    Each request is recorded as (url, headers, timeout).
+    """
 
     def __init__(self, routes):
         self.routes = routes
         self.requests = []
 
-    def get(self, url, headers=None):
-        self.requests.append((url, dict(headers or {})))
+    def get(self, url, headers=None, timeout=None):
+        self.requests.append((url, dict(headers or {}), timeout))
         if url not in self.routes:
             return FakeResponse(404)
         entry = self.routes[url]
@@ -190,7 +195,7 @@ class TestFetchMeasurementResults:
         results, failures = fetch_measurement_results(BASE, [1, 2], client=client)
         assert len(results) == 1
         assert len(failures) == 1
-        assert "af" in str(failures[0])
+        assert str(failures[0]) == "measurement 1: traceroute missing 'af'"
 
     @pytest.mark.parametrize("bad_at", [0, 2])
     def test_one_bad_run_drops_its_whole_id(self, bad_at):
@@ -239,6 +244,21 @@ class TestHttpClient:
         client = HttpClient(session=session, limiter=FreeLimiter())
         fetch_probe_inventory(BASE, client=client)
         assert session.requests[0][1] == {}
+
+    def test_every_request_carries_a_finite_timeout(self):
+        page2_url = f"{BASE}/probes?page=2"
+        client, session = make_client(
+            {
+                f"{BASE}/probes": {"results": [probe_obj(1)], "next": page2_url},
+                page2_url: {"results": [], "next": None},
+                f"{BASE}/measurements/1/results": [traceroute_obj()],
+            }
+        )
+        fetch_probe_inventory(BASE, client=client)
+        fetch_measurement_results(BASE, [1], client=client)
+        timeouts = [timeout for _url, _headers, timeout in session.requests]
+        assert len(timeouts) == 3
+        assert all(isinstance(t, float) and math.isfinite(t) and t > 0 for t in timeouts)
 
     def test_non_200_raises_http_error(self):
         session = FakeSession({"u": ("error", 429)})

@@ -69,14 +69,12 @@ class TestPopulation:
         assert rows == [PopulationEstimateRow("DE", 3320, 22.0)]
         assert any("repeated" in r.message for r in caplog.records)
 
-    def test_collect_mode_keeps_good_rows(self):
-        errors: list[IngestError] = []
-        rows = parse_population_estimates(
-            "country,asn,fraction_percent\nDE,3320,21.5\nbad row\nDE,6805,18.0\n",
-            errors=errors,
-        )
-        assert len(rows) == 2
-        assert len(errors) == 1 and errors[0].line == 3
+    def test_short_row_stops_the_parse_at_its_line(self):
+        with pytest.raises(RowParseError) as exc:
+            parse_population_estimates(
+                "country,asn,fraction_percent\nDE,3320,21.5\nbad row\nDE,6805,18.0\n"
+            )
+        assert exc.value.line == 3
 
     def test_field_count_checked(self):
         with pytest.raises(RowParseError, match="3 fields"):
@@ -89,18 +87,13 @@ class TestCountryUsers:
         assert users == {"CA": 33_000_000, "DE": 78_000_000}
 
     def test_duplicate_country_rejected(self):
-        with pytest.raises(DuplicateCountry):
+        with pytest.raises(DuplicateCountry) as exc:
             parse_country_users("country,internet_users\nCA,1\nCA,2\n")
+        assert exc.value.line == 3
 
     def test_negative_rejected(self):
         with pytest.raises(RowParseError):
             parse_country_users("country,internet_users\nCA,-5\n")
-
-    def test_collect_mode_first_wins_on_duplicate(self):
-        errors: list[IngestError] = []
-        users = parse_country_users("country,internet_users\nCA,1\nCA,2\n", errors=errors)
-        assert users == {"CA": 1}
-        assert len(errors) == 1
 
 
 class TestProbeInventory:
@@ -144,7 +137,7 @@ class TestProbeInventory:
 
     @pytest.mark.parametrize(
         "change",
-        [{"asn_v4": "abc"}, {"asn_v6": 0}, {"id": None}, {"latitude": 91.0}],
+        [{"asn_v4": "abc"}, {"asn_v6": 0}, {"id": None}, {"latitude": 91.0}, {"id": float("inf")}],
     )
     def test_bad_field_is_a_row_error(self, change):
         with pytest.raises(RowParseError):
@@ -162,15 +155,11 @@ class TestProbeInventory:
     def test_json_syntax_error_carries_line(self):
         with pytest.raises(JsonSyntaxError) as exc:
             parse_probe_inventory('[\n{"id": 1,}\n]')
-        assert exc.value.line is not None
+        assert exc.value.line == 2
 
-    def test_collect_mode(self):
-        errors: list[IngestError] = []
-        probes = parse_probe_inventory(
-            '[{"id": 1, "is_public": true, "status": "Connected"}, {"no_id": 2}]',
-            errors=errors,
-        )
-        assert len(probes) == 1 and len(errors) == 1
+    def test_bad_probe_stops_the_parse(self):
+        with pytest.raises(MissingField, match="missing 'id'"):
+            parse_probe_inventory('[{"id": 1, "is_public": true, "status": "Connected"}, {"no_id": 2}]')
 
 
 class TestTraceroutes:
@@ -209,12 +198,15 @@ class TestTraceroutes:
         with pytest.raises(RowParseError):
             parse_traceroute_results(bad)
 
-    def test_collect_mode_counts_lines(self):
-        errors: list[IngestError] = []
-        data = self.LINE + "\n{not json}\n" + self.LINE + "\n"
-        trs = parse_traceroute_results(data, errors=errors)
-        assert len(trs) == 2
-        assert errors[0].line == 2
+    def test_bad_json_line_stops_the_parse_at_its_line(self):
+        with pytest.raises(JsonSyntaxError) as exc:
+            parse_traceroute_results(self.LINE + "\n{not json}\n" + self.LINE + "\n")
+        assert exc.value.line == 2
+
+    def test_infinite_integer_field_is_a_row_error(self):
+        bad = self.LINE.replace('"timestamp":1700000000', '"timestamp":Infinity')
+        with pytest.raises(RowParseError, match="line 1: cannot convert float infinity"):
+            parse_traceroute_results(bad)
 
     HEAD = LINE[: LINE.index('"hops":')]
 
@@ -240,20 +232,30 @@ class TestTraceroutes:
             pytest.param('[{"hop":1,"results":[{"y":"*"}]}]', RowParseError, id="unknown-result-shape"),
             pytest.param("[1]", RowParseError, id="hop-not-an-object"),
             pytest.param("[null]", RowParseError, id="null-hop"),
+            pytest.param('[{"hop":1,"results":"xx"}]', RowParseError, id="results-string"),
+            pytest.param('[{"hop":1,"results":["x"]}]', RowParseError, id="result-not-an-object"),
+            pytest.param('[{"hop":1,"results":{"x":1}}]', RowParseError, id="results-object"),
+            pytest.param('[{"hop":1,"results":[{"from":"20.1.0.9","rtt":"nan"}]}]', RowParseError, id="nan-string-rtt"),
+            pytest.param('[{"hop":1,"results":[{"from":"20.1.0.9","rtt":NaN}]}]', RowParseError, id="nan-rtt"),
+            pytest.param('[{"hop":1,"results":[{"from":"20.1.0.9","rtt":Infinity}]}]', RowParseError, id="infinite-rtt"),
+            pytest.param('[{"hop":1,"results":[{"from":"20.1.0.9","rtt":"1.5"}]}]', RowParseError, id="numeric-string-rtt"),
+            pytest.param('[{"hop":1,"results":[{"from":"20.1.0.9","rtt":true}]}]', RowParseError, id="bool-rtt"),
+            pytest.param('[{"hop":1.9,"results":[{"x":"*"}]}]', RowParseError, id="float-hop-index"),
+            pytest.param('[{"hop":true,"results":[{"x":"*"}]}]', RowParseError, id="bool-hop-index"),
+            pytest.param('[{"hop":"2","results":[{"x":"*"}]}]', RowParseError, id="numeric-string-hop-index"),
         ],
     )
     def test_edge_forms(self, hops, outcome):
-        """The second line's hop tuple, or its one error and that error's line; None drops "hops"."""
-        errors: list[IngestError] = []
+        """The second line's hop tuple, or the error it raises at line 2; None drops "hops"."""
         second = f'{self.HEAD}"hops":{hops}}}' if hops is not None else self.HEAD[:-1] + "}"
         data = f"{self.LINE}\n{second}\n"
-        trs = parse_traceroute_results(data, errors=errors)
         if isinstance(outcome, tuple):
-            assert errors == []
-            assert trs[1].hops == outcome
-        else:
-            assert len(trs) == 1
-            assert [(type(e), e.line) for e in errors] == [(outcome, 2)]
+            assert parse_traceroute_results(data)[1].hops == outcome
+            return
+        with pytest.raises(IngestError) as exc:
+            parse_traceroute_results(data)
+        assert type(exc.value) is outcome
+        assert exc.value.line == 2
 
 
 class TestRoundTrips:

@@ -44,7 +44,7 @@ def make_selection(eyeball_set, covered_asns=None):
             is_connected=True,
         )
         per_asn[asn] = (probe, probe)
-    return ProbeSelection(country=eyeball_set.country, per_asn=per_asn)
+    return ProbeSelection(per_asn=per_asn)
 
 
 def build(fractions, verdict_specs, covered_asns=None):
