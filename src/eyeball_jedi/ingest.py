@@ -122,6 +122,14 @@ def parse_country_users(data: str | bytes) -> dict[str, int]:
     return users
 
 
+def _json_int(obj: dict, key: str) -> int:
+    """obj[key] when it is a JSON integer; a bool or a float is not one."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} is not an integer: {value!r}")
+    return value
+
+
 def probe_from_dict(obj: dict) -> Probe:
     """Build a Probe from one inventory object; missing optionals stay absent.
 
@@ -132,25 +140,32 @@ def probe_from_dict(obj: dict) -> Probe:
     if "id" not in obj:
         raise MissingField("probe object missing 'id'")
     try:
-        probe_id = int(obj["id"])
+        probe_id = _json_int(obj, "id")
         for required in ("is_public", "status"):
             if required not in obj:
                 raise MissingField(f"probe {probe_id} missing '{required}'")
+        if type(obj["is_public"]) is not bool:
+            raise ValueError(f"is_public is not a boolean: {obj['is_public']!r}")
         lat = obj.get("latitude")
         lon = obj.get("longitude")
+        for coordinate in (lat, lon):
+            if coordinate is not None and type(coordinate) not in (int, float):
+                raise ValueError(f"coordinate is not a number: {coordinate!r}")
         location = GeoPoint(float(lat), float(lon)) if lat is not None and lon is not None else None
         address = obj.get("address_v4")
         if address is not None:
+            if type(address) is not str:
+                raise ValueError(f"address_v4 is not a string: {address!r}")
             address = str(ipaddress.IPv4Address(address))
-        asn_v4 = check_asn(int(obj["asn_v4"])) if obj.get("asn_v4") is not None else None
+        asn_v4 = check_asn(obj["asn_v4"]) if obj.get("asn_v4") is not None else None
         if obj.get("asn_v6") is not None:
-            check_asn(int(obj["asn_v6"]))
+            check_asn(obj["asn_v6"])
         return Probe(
             id=probe_id,
             asn_v4=asn_v4,
             location=location,
             public_address_v4=address,
-            is_public=bool(obj["is_public"]),
+            is_public=obj["is_public"],
             is_connected=obj["status"] == "Connected",
         )
     except (TypeError, ValueError, OverflowError) as exc:
@@ -209,17 +224,21 @@ def traceroute_from_dict(obj: dict, line: int | None = None) -> Traceroute:
                         raise RowParseError(f"rtt is not a finite number: {rtt!r}", line=line)
                     if rtt < 0:
                         raise RowParseError(f"negative rtt: {float(rtt)}", line=line)
+                address = res["from"]
+                if type(address) is not str:
+                    raise RowParseError(f"hop address is not a string: {address!r}", line=line)
                 if first is None:
-                    first = str(res["from"])
+                    first = address
             hops.append(first)
+        if type(obj["dst_addr"]) is not str:
+            raise RowParseError(f"dst_addr is not a string: {obj['dst_addr']!r}", line=line)
         return Traceroute(
-            src_probe_id=int(obj["src_probe"]),
-            dst_probe_id=int(obj["dst_probe"]),
-            src_asn=check_asn(int(obj["src_asn"])),
-            dst_asn=check_asn(int(obj["dst_asn"])),
-            dst_address=str(obj["dst_addr"]),
-            address_family=int(obj["af"]),
-            timestamp=int(obj["timestamp"]),
+            src_probe_id=_json_int(obj, "src_probe"),
+            dst_probe_id=_json_int(obj, "dst_probe"),
+            src_asn=obj["src_asn"],
+            dst_asn=obj["dst_asn"],
+            address_family=_json_int(obj, "af"),
+            timestamp=_json_int(obj, "timestamp"),
             hops=tuple(hops),
         )
     except (TypeError, ValueError, OverflowError) as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import JsonSyntaxError, MalformedMatrix, UnknownAsnInVerdicts
 from .model import (
@@ -21,6 +21,7 @@ from .model import (
     EyeballSet,
     LocalityVerdict,
     MetricsSummary,
+    PathClassification,
 )
 from .paths import classify_pair
 from .selection import ProbeSelection
@@ -29,32 +30,31 @@ from .selection import ProbeSelection
 def build_matrix(
     eyeball_set: EyeballSet,
     selection: ProbeSelection,
-    verdicts: Mapping[tuple[int, int], CellVerdict],
-    generated_at: float = 0.0,
+    evidence: Mapping[tuple[int, int], Sequence[tuple[str, PathClassification]]],
 ) -> EyeballMatrix:
-    """Assemble the full n x n matrix from per-pair verdicts.
+    """Assemble the full n x n matrix from per-pair run evidence.
 
-    Verdicts are expected for the ordered pairs whose two networks both have
-    selected probes; a covered pair left without a verdict falls back to
-    Undetermined. Every pair touching a network without probes becomes a
-    NoCoverage cell. A verdict naming any other pair is refused.
+    Every ordered pair whose two networks both have selected probes is
+    classified from its evidence, Undetermined when it has none. Every
+    pair touching a network without probes becomes a NoCoverage cell.
+    Evidence naming any other pair is refused.
     """
     fraction = {n.asn: n.user_fraction for n in eyeball_set.networks}
     covered = set(selection.per_asn)
-    for s, d in verdicts:
+    for s, d in evidence:
         if s not in fraction or d not in fraction or s not in covered or d not in covered:
             raise UnknownAsnInVerdicts(f"verdict for pair ({s}, {d}) outside covered matrix pairs")
     cells = {}
     for s in eyeball_set.asns:
         for d in eyeball_set.asns:
             weight = fraction[s] * fraction[d]
-            if (s, d) in verdicts:
-                cells[(s, d)] = verdicts[(s, d)]
-            elif s in covered and d in covered:
-                cells[(s, d)] = classify_pair(s, d, weight, (), covered=True)
+            if s in covered and d in covered:
+                cells[(s, d)] = classify_pair(s, d, weight, evidence.get((s, d), ()))
             else:
-                cells[(s, d)] = classify_pair(s, d, weight, (), covered=False)
-    return EyeballMatrix(eyeball_set=eyeball_set, cells=cells, generated_at=generated_at)
+                cells[(s, d)] = CellVerdict(
+                    s, d, LocalityVerdict.NO_COVERAGE, DirectnessVerdict.NOT_APPLICABLE, weight
+                )
+    return EyeballMatrix(eyeball_set=eyeball_set, cells=cells)
 
 
 def compute_metrics(matrix: EyeballMatrix) -> MetricsSummary:
@@ -122,7 +122,7 @@ def summarize(matrix: EyeballMatrix, metrics: MetricsSummary) -> list[str]:
 
 
 def format_matrix(matrix: EyeballMatrix) -> str:
-    """matrix_<CC>.json body; excludes generated_at so output is reproducible."""
+    """matrix_<CC>.json body."""
     return json.dumps(matrix.to_dict(), indent=2) + "\n"
 
 

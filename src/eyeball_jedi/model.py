@@ -157,12 +157,6 @@ class EyeballSet:
     def asns(self) -> tuple[int, ...]:
         return tuple(n.asn for n in self.networks)
 
-    def fraction_of(self, asn: int) -> float:
-        for net in self.networks:
-            if net.asn == asn:
-                return net.user_fraction
-        raise KeyError(asn)
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "country": self.country,
@@ -224,7 +218,6 @@ class Traceroute:
     dst_probe_id: int
     src_asn: int
     dst_asn: int
-    dst_address: str
     address_family: int
     timestamp: int
     hops: tuple[str | None, ...]
@@ -339,7 +332,6 @@ class EyeballMatrix:
 
     eyeball_set: EyeballSet
     cells: Mapping[tuple[int, int], CellVerdict]
-    generated_at: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "cells", dict(self.cells))
@@ -371,19 +363,19 @@ class EyeballMatrix:
         return [self.cells[(s, d)] for s in asns for d in asns]
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON form; excludes generated_at so emitted files stay reproducible."""
+        """JSON form: the eyeball set's fields plus the cells in row-major order."""
         d = self.eyeball_set.to_dict()
         d["cells"] = [c.to_dict() for c in self.ordered_cells()]
         return d
 
     @classmethod
-    def from_dict(cls, d: Mapping[str, Any], generated_at: float = 0.0) -> "EyeballMatrix":
+    def from_dict(cls, d: Mapping[str, Any]) -> "EyeballMatrix":
         eyeball_set = EyeballSet.from_dict(d)
         cells = {}
         for cd in d["cells"]:
             cell = CellVerdict.from_dict(cd)
             cells[(cell.src_asn, cell.dst_asn)] = cell
-        return cls(eyeball_set=eyeball_set, cells=cells, generated_at=generated_at)
+        return cls(eyeball_set=eyeball_set, cells=cells)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ hop; both labels read what it returns.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import EmptyTraceroute
@@ -39,17 +38,8 @@ NO_RESPONSE: ResolvedHop = (UNKNOWN_HOP, None)
 _UNSEEN = object()
 
 
-def is_public_address(address: str | ipaddress.IPv4Address | ipaddress.IPv6Address) -> bool:
-    """Whether address is globally routable: ipaddress's is_global.
-
-    A parsed address is read as is; a string is parsed first, and a string
-    that is no address at all is not public.
-    """
-    if isinstance(address, str):
-        try:
-            address = ipaddress.ip_address(address)
-        except ValueError:
-            return False
+def is_public_address(address: ipaddress.IPv4Address | ipaddress.IPv6Address) -> bool:
+    """Whether a parsed address is globally routable: ipaddress's is_global."""
     return address.is_global
 
 
@@ -92,28 +82,7 @@ class HopResolver:
         return kept
 
 
-@dataclass(frozen=True)
-class AsPath:
-    """AS-level path: AS numbers and unknown-hop markers, duplicates collapsed.
-
-    Invariants: no two adjacent equal AS numbers, no two adjacent markers,
-    and no marker sandwiched between two equal AS numbers (such a gap is
-    attributed to the surrounding AS and removed).
-    """
-
-    sequence: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "sequence", tuple(self.sequence))
-
-    def has_unknown(self) -> bool:
-        return UNKNOWN_HOP in self.sequence
-
-    def asn_elements(self) -> list[int]:
-        return [e for e in self.sequence if e is not UNKNOWN_HOP]
-
-
-def extract_as_path(tr: Traceroute, hops: list[ResolvedHop]) -> AsPath:
+def extract_as_path(tr: Traceroute, hops: list[ResolvedHop]) -> tuple:
     """Derive the AS-level path of a traceroute from its resolved hops.
 
     hops is HopResolver.hops(tr): non-global addresses are already gone,
@@ -147,16 +116,16 @@ def classify_locality(hops: list[ResolvedHop], country: str) -> Locality:
     return Locality.IN_COUNTRY if saw_inside else Locality.UNDETERMINED
 
 
-def classify_directness(path: AsPath, src_asn: int, dst_asn: int) -> Directness:
+def classify_directness(path: tuple, src_asn: int, dst_asn: int) -> Directness:
     """Direct, indirect (any third AS on the path), or undetermined.
 
     An unknown-hop marker between different ASes may hide an intermediary,
     so it blocks a Direct verdict without proving Indirect.
     """
     endpoints = {src_asn, dst_asn}
-    if any(asn not in endpoints for asn in path.asn_elements()):
+    if any(asn is not UNKNOWN_HOP and asn not in endpoints for asn in path):
         return Directness.INDIRECT
-    if path.has_unknown():
+    if UNKNOWN_HOP in path:
         return Directness.UNDETERMINED
     return Directness.DIRECT
 
@@ -175,7 +144,6 @@ def classify_pair(
     dst_asn: int,
     area_weight: float,
     evidence: Iterable[tuple[str, PathClassification]],
-    covered: bool,
 ) -> CellVerdict:
     """Aggregate per-traceroute labels into one cell verdict.
 
@@ -184,16 +152,6 @@ def classify_pair(
     disagree, and Undetermined/NotApplicable when nothing weighed in.
     """
     evidence = tuple(evidence)
-    if not covered:
-        if evidence:
-            raise ValueError("uncovered pairs cannot carry evidence")
-        return CellVerdict(
-            src_asn,
-            dst_asn,
-            LocalityVerdict.NO_COVERAGE,
-            DirectnessVerdict.NOT_APPLICABLE,
-            area_weight,
-        )
     localities = {cls.locality for _, cls in evidence} - {Locality.UNDETERMINED}
     if not localities:
         locality = LocalityVerdict.UNDETERMINED
@@ -215,12 +173,15 @@ def classify_pair(
     return CellVerdict(src_asn, dst_asn, locality, directness, area_weight, evidence)
 
 
-def normalize_path(elements: Iterable) -> AsPath:
-    """Build an AsPath from raw elements in one pass over an output stack.
+def normalize_path(elements: Iterable) -> tuple:
+    """Collapse raw AS-path elements in one pass over an output stack.
 
     An element equal to the top of the stack is dropped; an AS number that
     follows a marker which follows that same AS drops the marker and
     itself (the gap belongs to the surrounding AS); anything else is pushed.
+    The result holds AS numbers and UNKNOWN_HOP markers with no two
+    adjacent equal AS numbers, no two adjacent markers, and no marker
+    between two equal AS numbers.
     """
     out: list = []
     for elem in elements:
@@ -230,4 +191,4 @@ def normalize_path(elements: Iterable) -> AsPath:
             out.pop()
             continue
         out.append(elem)
-    return AsPath(tuple(out))
+    return tuple(out)

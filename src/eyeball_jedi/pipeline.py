@@ -46,7 +46,6 @@ from .matrix import (
     summarize,
 )
 from .model import (
-    CellVerdict,
     EyeballMatrix,
     EyeballSet,
     GeoPoint,
@@ -55,7 +54,7 @@ from .model import (
     Probe,
     Traceroute,
 )
-from .paths import HopResolver, classify_pair, classify_traceroute
+from .paths import HopResolver, classify_traceroute
 from .selection import ProbeSelection, format_selection, select_probes
 
 log = logging.getLogger(__name__)
@@ -297,6 +296,7 @@ class CountryAnalysis:
     report_text: str
     warnings: list[str]
     matched_traceroutes: int
+    generated_at: float
 
 
 def analyze_country(
@@ -305,23 +305,12 @@ def analyze_country(
     evidence, warnings, matched = gather_evidence(
         scope, traceroutes, ws.prefix_table, ws.geo_table
     )
-    eyeball_set = scope.eyeball_set
-    # Pairs without evidence fall back inside build_matrix (Undetermined
-    # when both sides have probes, NoCoverage otherwise).
-    verdicts: dict[tuple[int, int], CellVerdict] = {
-        (src, dst): classify_pair(
-            src,
-            dst,
-            eyeball_set.fraction_of(src) * eyeball_set.fraction_of(dst),
-            runs,
-            covered=True,
-        )
-        for (src, dst), runs in evidence.items()
-    }
-    matrix = build_matrix(eyeball_set, scope.selection, verdicts, generated_at=time.time())
+    matrix = build_matrix(scope.eyeball_set, scope.selection, evidence)
     metrics = compute_metrics(matrix)
     report_text = "\n".join(summarize(matrix, metrics)) + "\n"
-    return CountryAnalysis(scope, matrix, metrics, report_text, warnings, matched)
+    return CountryAnalysis(
+        scope, matrix, metrics, report_text, warnings, matched, generated_at=time.time()
+    )
 
 
 def _write(path: Path, text: str) -> None:
@@ -362,7 +351,7 @@ def write_analysis_outputs(out_dir: Path, result: CountryAnalysis) -> None:
     _write(out_dir / f"report_{cc}.txt", result.report_text)
     sidecar = {
         "country": cc,
-        "generatedAt": result.matrix.generated_at,
+        "generatedAt": result.generated_at,
         "matchedTraceroutes": result.matched_traceroutes,
         "warnings": result.warnings,
     }

@@ -149,6 +149,7 @@ class TestFetchProbeInventory:
             ({**probe_obj(2), "asn_v4": "abc"}, RowParseError),
             ({"asn_v4": 65001}, MissingField),
             (5, RowParseError),
+            ({**probe_obj(2), "is_public": "false"}, RowParseError),
         ],
     )
     def test_invalid_probe_aborts_whole_fetch(self, bad, error):

@@ -137,7 +137,20 @@ class TestProbeInventory:
 
     @pytest.mark.parametrize(
         "change",
-        [{"asn_v4": "abc"}, {"asn_v6": 0}, {"id": None}, {"latitude": 91.0}, {"id": float("inf")}],
+        [
+            {"asn_v4": "abc"},
+            {"asn_v6": 0},
+            {"id": None},
+            {"latitude": 91.0},
+            {"id": float("inf")},
+            {"is_public": "false"},
+            {"asn_v4": 65001.9},
+            {"asn_v6": True},
+            {"id": "7"},
+            {"id": True},
+            {"latitude": True},
+            {"address_v4": 16909060},
+        ],
     )
     def test_bad_field_is_a_row_error(self, change):
         with pytest.raises(RowParseError):
@@ -205,7 +218,7 @@ class TestTraceroutes:
 
     def test_infinite_integer_field_is_a_row_error(self):
         bad = self.LINE.replace('"timestamp":1700000000', '"timestamp":Infinity')
-        with pytest.raises(RowParseError, match="line 1: cannot convert float infinity"):
+        with pytest.raises(RowParseError, match="line 1: timestamp is not an integer: inf"):
             parse_traceroute_results(bad)
 
     HEAD = LINE[: LINE.index('"hops":')]
@@ -243,6 +256,7 @@ class TestTraceroutes:
             pytest.param('[{"hop":1.9,"results":[{"x":"*"}]}]', RowParseError, id="float-hop-index"),
             pytest.param('[{"hop":true,"results":[{"x":"*"}]}]', RowParseError, id="bool-hop-index"),
             pytest.param('[{"hop":"2","results":[{"x":"*"}]}]', RowParseError, id="numeric-string-hop-index"),
+            pytest.param('[{"hop":1,"results":[{"from":123,"rtt":1.0}]}]', RowParseError, id="numeric-from"),
         ],
     )
     def test_edge_forms(self, hops, outcome):
@@ -255,6 +269,25 @@ class TestTraceroutes:
         with pytest.raises(IngestError) as exc:
             parse_traceroute_results(data)
         assert type(exc.value) is outcome
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("src_probe", 1.9),
+            ("dst_probe", True),
+            ("src_asn", 65001.5),
+            ("dst_asn", True),
+            ("af", "4"),
+            ("timestamp", "1700000000"),
+            ("dst_addr", 16909060),
+        ],
+    )
+    def test_envelope_forms(self, field, value):
+        """A run envelope field of the wrong JSON type is a row error at its line."""
+        second = json.dumps({**json.loads(self.LINE), field: value})
+        with pytest.raises(RowParseError) as exc:
+            parse_traceroute_results(f"{self.LINE}\n{second}\n")
         assert exc.value.line == 2
 
 

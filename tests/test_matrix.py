@@ -31,7 +31,6 @@ from eyeball_jedi.model import (
     PathClassification,
     Probe,
 )
-from eyeball_jedi.paths import classify_pair
 from eyeball_jedi.selection import ProbeSelection
 
 CAPITAL = GeoPoint(50.0, 8.0)
@@ -66,11 +65,6 @@ def make_selection(eyeball_set, covered_asns=None):
     return ProbeSelection(per_asn=per_asn)
 
 
-def verdict_for(eyeball_set, src, dst, evidence):
-    weight = eyeball_set.fraction_of(src) * eyeball_set.fraction_of(dst)
-    return classify_pair(src, dst, weight, evidence, covered=True)
-
-
 class TestBuildMatrix:
     def test_two_networks_make_four_cells(self):
         es = make_set([0.6, 0.4])
@@ -85,9 +79,11 @@ class TestBuildMatrix:
 
     def test_verdicts_are_inserted(self):
         es = make_set([0.6, 0.4])
-        v = verdict_for(es, 65001, 65002, [("m1", IN_DIRECT)])
-        matrix = build_matrix(es, make_selection(es), {(65001, 65002): v})
-        assert matrix.cell(65001, 65002) is v
+        matrix = build_matrix(es, make_selection(es), {(65001, 65002): [("m1", IN_DIRECT)]})
+        cell = matrix.cell(65001, 65002)
+        assert cell.locality is LocalityVerdict.IN_COUNTRY
+        assert cell.directness is DirectnessVerdict.DIRECT
+        assert cell.evidence == (("m1", IN_DIRECT),)
 
     def test_covered_pairs_without_verdict_fall_back_to_undetermined(self):
         es = make_set([0.6, 0.4])
@@ -102,6 +98,17 @@ class TestBuildMatrix:
         no_cov = [p for p, c in matrix.cells.items() if c.locality is LocalityVerdict.NO_COVERAGE]
         assert sorted(no_cov) == [(65001, 65002), (65002, 65001), (65002, 65002)]
 
+    def test_uncovered_pair_is_no_coverage(self):
+        es = make_set([0.6, 0.4])
+        selection = make_selection(es, covered_asns=[65001])
+        cell = build_matrix(es, selection, {}).cell(65001, 65002)
+        assert cell.locality is LocalityVerdict.NO_COVERAGE
+        assert cell.directness is DirectnessVerdict.NOT_APPLICABLE
+        assert cell.evidence == ()
+        assert cell.area_weight == pytest.approx(0.24)
+        with pytest.raises(UnknownAsnInVerdicts):
+            build_matrix(es, selection, {(65001, 65002): [("m1", IN_DIRECT)]})
+
     def test_area_weights_are_fraction_products(self):
         es = make_set([0.6, 0.4])
         matrix = build_matrix(es, make_selection(es), {})
@@ -111,22 +118,21 @@ class TestBuildMatrix:
 
     def test_verdict_for_foreign_asn_rejected(self):
         es = make_set([0.6, 0.4])
-        v = classify_pair(64999, 65001, 0.1, (), covered=True)
         with pytest.raises(UnknownAsnInVerdicts, match="64999"):
-            build_matrix(es, make_selection(es), {(64999, 65001): v})
+            build_matrix(es, make_selection(es), {(64999, 65001): [("m1", IN_DIRECT)]})
 
     def test_verdict_for_uncovered_member_rejected(self):
         es = make_set([0.6, 0.4])
-        v = verdict_for(es, 65002, 65001, [("m1", IN_DIRECT)])
         with pytest.raises(UnknownAsnInVerdicts):
-            build_matrix(es, make_selection(es, covered_asns=[65001]), {(65002, 65001): v})
+            build_matrix(
+                es, make_selection(es, covered_asns=[65001]), {(65002, 65001): [("m1", IN_DIRECT)]}
+            )
 
 
 class TestComputeMetrics:
     def test_single_full_network_all_in_country(self):
         es = make_set([1.0])
-        v = verdict_for(es, 65001, 65001, [("m1", IN_DIRECT)])
-        matrix = build_matrix(es, make_selection(es), {(65001, 65001): v})
+        matrix = build_matrix(es, make_selection(es), {(65001, 65001): [("m1", IN_DIRECT)]})
         metrics = compute_metrics(matrix)
         assert metrics.in_country_area == 1.0
         assert metrics.unexamined_area == 0.0
@@ -159,12 +165,12 @@ class TestComputeMetrics:
 
     def test_categories_partition_unity(self):
         es = make_set([0.5, 0.3, 0.1])
-        verdicts = {
-            (65001, 65001): verdict_for(es, 65001, 65001, [("1", IN_DIRECT)]),
-            (65001, 65002): verdict_for(es, 65001, 65002, [("2", OUT_DIRECT)]),
-            (65002, 65001): verdict_for(es, 65002, 65001, [("3", IN_DIRECT), ("4", OUT_DIRECT)]),
+        evidence = {
+            (65001, 65001): [("1", IN_DIRECT)],
+            (65001, 65002): [("2", OUT_DIRECT)],
+            (65002, 65001): [("3", IN_DIRECT), ("4", OUT_DIRECT)],
         }
-        matrix = build_matrix(es, make_selection(es, covered_asns=[65001, 65002]), verdicts)
+        matrix = build_matrix(es, make_selection(es, covered_asns=[65001, 65002]), evidence)
         metrics = compute_metrics(matrix)
         total = math.fsum(
             [
@@ -181,13 +187,11 @@ class TestComputeMetrics:
 
     def test_indirect_counts_consensus_only(self):
         es = make_set([0.6, 0.4])
-        verdicts = {
-            (65001, 65002): verdict_for(es, 65001, 65002, [("1", IN_INDIRECT)]),
-            (65002, 65001): verdict_for(
-                es, 65002, 65001, [("2", IN_INDIRECT), ("3", IN_DIRECT)]
-            ),
+        evidence = {
+            (65001, 65002): [("1", IN_INDIRECT)],
+            (65002, 65001): [("2", IN_INDIRECT), ("3", IN_DIRECT)],
         }
-        matrix = build_matrix(es, make_selection(es), verdicts)
+        matrix = build_matrix(es, make_selection(es), evidence)
         metrics = compute_metrics(matrix)
         # only the unanimous indirect cell counts; the split cell is mixed
         assert metrics.indirect_area == pytest.approx(0.24)
@@ -195,10 +199,10 @@ class TestComputeMetrics:
 
     def test_diagonal_participates(self):
         es = make_set([0.6, 0.4])
-        verdicts = {
-            (65001, 65001): verdict_for(es, 65001, 65001, [("1", IN_DIRECT)]),
+        evidence = {
+            (65001, 65001): [("1", IN_DIRECT)],
         }
-        matrix = build_matrix(es, make_selection(es), verdicts)
+        matrix = build_matrix(es, make_selection(es), evidence)
         metrics = compute_metrics(matrix)
         assert metrics.in_country_area == pytest.approx(0.36)
 
@@ -206,11 +210,11 @@ class TestComputeMetrics:
         for first_asn in (65001, 64512, 2000):
             es = make_set([0.5, 0.3], first_asn=first_asn)
             a, b = es.asns
-            verdicts = {
-                (a, b): verdict_for(es, a, b, [("1", IN_DIRECT)]),
-                (b, a): verdict_for(es, b, a, [("2", OUT_DIRECT)]),
+            evidence = {
+                (a, b): [("1", IN_DIRECT)],
+                (b, a): [("2", OUT_DIRECT)],
             }
-            matrix = build_matrix(es, make_selection(es), verdicts)
+            matrix = build_matrix(es, make_selection(es), evidence)
             metrics = compute_metrics(matrix)
             assert metrics.in_country_area == pytest.approx(0.15)
             assert metrics.out_of_country_area == pytest.approx(0.15)
@@ -220,8 +224,7 @@ class TestComputeMetrics:
 class TestSummarize:
     def test_category_lines_and_no_asymmetries(self):
         es = make_set([1.0])
-        v = verdict_for(es, 65001, 65001, [("m1", IN_DIRECT)])
-        matrix = build_matrix(es, make_selection(es), {(65001, 65001): v})
+        matrix = build_matrix(es, make_selection(es), {(65001, 65001): [("m1", IN_DIRECT)]})
         lines = summarize(matrix, compute_metrics(matrix))
         assert lines[0] == "in-country: 100.0%"
         assert "unexamined: 0.0%" in lines
@@ -230,11 +233,11 @@ class TestSummarize:
 
     def test_asymmetry_line_format(self):
         es = make_set([0.6, 0.4])
-        verdicts = {
-            (65001, 65002): verdict_for(es, 65001, 65002, [("1", IN_DIRECT)]),
-            (65002, 65001): verdict_for(es, 65002, 65001, [("2", OUT_DIRECT)]),
+        evidence = {
+            (65001, 65002): [("1", IN_DIRECT)],
+            (65002, 65001): [("2", OUT_DIRECT)],
         }
-        matrix = build_matrix(es, make_selection(es), verdicts)
+        matrix = build_matrix(es, make_selection(es), evidence)
         lines = summarize(matrix, compute_metrics(matrix))
         assert (
             "asymmetry: AS65001->AS65002 in_country / AS65002->AS65001 out_of_country"
@@ -243,11 +246,11 @@ class TestSummarize:
 
     def test_symmetric_matrix_reports_none(self):
         es = make_set([0.6, 0.4])
-        verdicts = {
-            (65001, 65002): verdict_for(es, 65001, 65002, [("1", IN_DIRECT)]),
-            (65002, 65001): verdict_for(es, 65002, 65001, [("2", IN_INDIRECT)]),
+        evidence = {
+            (65001, 65002): [("1", IN_DIRECT)],
+            (65002, 65001): [("2", IN_INDIRECT)],
         }
-        matrix = build_matrix(es, make_selection(es), verdicts)
+        matrix = build_matrix(es, make_selection(es), evidence)
         lines = summarize(matrix, compute_metrics(matrix))
         assert lines[-1] == "asymmetries: none"
 
@@ -262,8 +265,7 @@ class TestSummarize:
 class TestFormatting:
     def test_metrics_csv_layout(self):
         es = make_set([0.6, 0.4])
-        v = verdict_for(es, 65001, 65001, [("1", IN_DIRECT)])
-        matrix = build_matrix(es, make_selection(es), {(65001, 65001): v})
+        matrix = build_matrix(es, make_selection(es), {(65001, 65001): [("1", IN_DIRECT)]})
         text = format_metrics_csv(compute_metrics(matrix))
         lines = text.splitlines()
         assert lines[0] == "category,area_fraction"
@@ -274,12 +276,10 @@ class TestFormatting:
 
     def test_matrix_json_round_trip(self):
         es = make_set([0.6, 0.4])
-        verdicts = {
-            (65001, 65002): verdict_for(
-                es, 65001, 65002, [("11>22@1700000000", IN_DIRECT)]
-            ),
+        evidence = {
+            (65001, 65002): [("11>22@1700000000", IN_DIRECT)],
         }
-        matrix = build_matrix(es, make_selection(es), verdicts)
+        matrix = build_matrix(es, make_selection(es), evidence)
         text = format_matrix(matrix)
         loaded = load_matrix(text)
         assert loaded.cells == matrix.cells
@@ -287,7 +287,7 @@ class TestFormatting:
 
     def test_matrix_json_excludes_timestamp(self):
         es = make_set([1.0])
-        matrix = build_matrix(es, make_selection(es), {}, generated_at=123.0)
+        matrix = build_matrix(es, make_selection(es), {})
         payload = json.loads(format_matrix(matrix))
         assert "generated_at" not in payload
         assert "generatedAt" not in payload

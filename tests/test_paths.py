@@ -14,6 +14,7 @@ from eyeball_jedi.config import load_config
 from eyeball_jedi.errors import EmptyTraceroute
 from eyeball_jedi.lpm import LpmTable
 from eyeball_jedi.model import (
+    CellVerdict,
     Directness,
     DirectnessVerdict,
     Locality,
@@ -25,7 +26,6 @@ from oracles import fixpoint_normalize, reference_as_path, reference_locality
 
 from eyeball_jedi.paths import (
     UNKNOWN_HOP,
-    AsPath,
     HopResolver,
     classify_directness,
     classify_locality,
@@ -81,14 +81,13 @@ def hop(*responses):
     return next((a for a in responses if a is not None), None)
 
 
-def make_traceroute(src_asn, dst_asn, hop_specs, dst_address=ADDR_B):
+def make_traceroute(src_asn, dst_asn, hop_specs):
     hops = [hop(*spec) if isinstance(spec, tuple) else hop(spec) for spec in hop_specs]
     return Traceroute(
         src_probe_id=11,
         dst_probe_id=22,
         src_asn=src_asn,
         dst_asn=dst_asn,
-        dst_address=dst_address,
         address_family=4,
         timestamp=1700000000,
         hops=tuple(hops),
@@ -105,68 +104,68 @@ class TestIsPublicAddress:
             ("192.168.1.1", False),
             ("127.0.0.1", False),
             ("100.64.0.1", False),
-            ("not-an-ip", False),
             ("2001:4860::1", True),
             ("fe80::1", False),
         ],
     )
     def test_classification(self, address, expected):
-        assert is_public_address(address) is expected
+        assert is_public_address(ipaddress.ip_address(address)) is expected
+
+    def test_resolver_drops_a_string_that_is_no_address(self):
+        assert make_resolver().resolve("not-an-ip") is None
 
 
 class TestExtractAsPath:
     def test_consecutive_duplicates_collapse(self):
         tr = make_traceroute(A, B, [ADDR_A, ADDR_A2, ADDR_B])
         path = extract_as_path(tr, resolved(tr))
-        assert path.sequence == (A, B)
+        assert path == (A, B)
 
     def test_marker_between_equal_ases_is_swallowed(self):
         tr = make_traceroute(A, B, [ADDR_A, ADDR_UNMAPPED, ADDR_A2, ADDR_B])
         path = extract_as_path(tr, resolved(tr))
-        assert path.sequence == (A, B)
-        assert not path.has_unknown()
+        assert path == (A, B)
 
     def test_private_hops_are_dropped(self):
-        tr = make_traceroute(A, C, [ADDR_A, ADDR_PRIVATE, ADDR_B, ADDR_C], dst_address=ADDR_C)
+        tr = make_traceroute(A, C, [ADDR_A, ADDR_PRIVATE, ADDR_B, ADDR_C])
         path = extract_as_path(tr, resolved(tr))
-        assert path.sequence == (A, B, C)
+        assert path == (A, B, C)
 
     def test_marker_between_different_ases_persists(self):
         tr = make_traceroute(A, B, [ADDR_A, ADDR_UNMAPPED, ADDR_B])
         path = extract_as_path(tr, resolved(tr))
-        assert path.sequence == (A, UNKNOWN_HOP, B)
-        assert path.has_unknown()
+        assert path == (A, UNKNOWN_HOP, B)
 
     def test_timeout_only_hop_becomes_marker(self):
         tr = make_traceroute(A, B, [ADDR_A, (None, None, None), ADDR_B])
         path = extract_as_path(tr, resolved(tr))
-        assert path.sequence == (A, UNKNOWN_HOP, B)
+        assert path == (A, UNKNOWN_HOP, B)
 
     def test_first_response_wins_within_hop(self):
         # hop answers twice: a timeout then an address; the address is used
         tr = make_traceroute(A, B, [(None, ADDR_B), ADDR_B])
         path = extract_as_path(tr, resolved(tr))
-        assert path.sequence == (A, B)
+        assert path == (A, B)
 
     def test_source_prepended_when_first_hop_is_elsewhere(self):
         tr = make_traceroute(A, B, [ADDR_B])
         path = extract_as_path(tr, resolved(tr))
-        assert path.sequence == (A, B)
+        assert path == (A, B)
 
     def test_destination_appended_when_missing(self):
         tr = make_traceroute(A, B, [ADDR_A, ADDR_C])
         path = extract_as_path(tr, resolved(tr))
-        assert path.sequence == (A, C, B)
+        assert path == (A, C, B)
 
     def test_destination_not_duplicated(self):
         tr = make_traceroute(A, B, [ADDR_A, ADDR_B])
         path = extract_as_path(tr, resolved(tr))
-        assert path.sequence.count(B) == 1
+        assert path.count(B) == 1
 
     def test_self_pair_collapses_to_single_element(self):
-        tr = make_traceroute(A, A, [ADDR_A, ADDR_A2], dst_address=ADDR_A2)
+        tr = make_traceroute(A, A, [ADDR_A, ADDR_A2])
         path = extract_as_path(tr, resolved(tr))
-        assert path.sequence == (A,)
+        assert path == (A,)
 
     def test_no_hops_raises(self):
         tr = make_traceroute(A, B, [])
@@ -177,7 +176,7 @@ class TestExtractAsPath:
         # last hop times out, destination AS still closes the path
         tr = make_traceroute(A, B, [ADDR_A, (None,)])
         path = extract_as_path(tr, resolved(tr))
-        assert path.sequence == (A, UNKNOWN_HOP, B)
+        assert path == (A, UNKNOWN_HOP, B)
 
 
 OCTET = st.integers(0, 255)
@@ -235,7 +234,7 @@ class TestHopResolution:
         for src, dst, hop_specs, country in data.draw(st.lists(run, min_size=1, max_size=5), label="runs"):
             tr = make_traceroute(src, dst, [tuple(spec) for spec in hop_specs])
             hops = resolver.hops(tr)
-            assert extract_as_path(tr, hops) == AsPath(reference_as_path(tr, prefix_table))
+            assert extract_as_path(tr, hops) == reference_as_path(tr, prefix_table)
             want = Locality(reference_locality(tr, geo_table, country))
             assert classify_locality(hops, country) is want
 
@@ -303,16 +302,16 @@ class TestResolveOnce:
 class TestNormalizePath:
     def test_adjacent_markers_collapse(self):
         path = normalize_path([A, UNKNOWN_HOP, UNKNOWN_HOP, B])
-        assert path.sequence == (A, UNKNOWN_HOP, B)
+        assert path == (A, UNKNOWN_HOP, B)
 
     def test_swallow_is_applied_to_fixpoint(self):
         # A ? A ? A collapses all the way down to A
         path = normalize_path([A, UNKNOWN_HOP, A, UNKNOWN_HOP, A])
-        assert path.sequence == (A,)
+        assert path == (A,)
 
     def test_mixed_collapse_chain(self):
         path = normalize_path([A, A, UNKNOWN_HOP, UNKNOWN_HOP, A, B, B])
-        assert path.sequence == (A, B)
+        assert path == (A, B)
 
     @pytest.mark.parametrize("alphabet", [(A, B, UNKNOWN_HOP), (A, B, C, UNKNOWN_HOP)])
     def test_agrees_with_fixpoint_oracle(self, alphabet):
@@ -320,11 +319,7 @@ class TestNormalizePath:
         for _ in range(5000):
             seq = [rng.choice(alphabet) for _ in range(rng.randint(0, 12))]
             want = tuple(fixpoint_normalize(seq, marker=UNKNOWN_HOP))
-            assert normalize_path(seq).sequence == want, seq
-
-    def test_asn_elements_filters_markers(self):
-        path = AsPath((A, UNKNOWN_HOP, B))
-        assert path.asn_elements() == [A, B]
+            assert normalize_path(seq) == want, seq
 
 
 class TestClassifyLocality:
@@ -352,21 +347,21 @@ class TestClassifyLocality:
 
 class TestClassifyDirectness:
     def test_two_endpoint_path_is_direct(self):
-        assert classify_directness(AsPath((A, B)), A, B) is Directness.DIRECT
+        assert classify_directness((A, B), A, B) is Directness.DIRECT
 
     def test_third_party_as_means_indirect(self):
-        assert classify_directness(AsPath((A, C, B)), A, B) is Directness.INDIRECT
+        assert classify_directness((A, C, B), A, B) is Directness.INDIRECT
 
     def test_marker_blocks_direct(self):
-        path = AsPath((A, UNKNOWN_HOP, B))
+        path = (A, UNKNOWN_HOP, B)
         assert classify_directness(path, A, B) is Directness.UNDETERMINED
 
     def test_indirect_beats_marker(self):
-        path = AsPath((A, UNKNOWN_HOP, C, B))
+        path = (A, UNKNOWN_HOP, C, B)
         assert classify_directness(path, A, B) is Directness.INDIRECT
 
     def test_self_pair_is_direct(self):
-        assert classify_directness(AsPath((A,)), A, A) is Directness.DIRECT
+        assert classify_directness((A,), A, A) is Directness.DIRECT
 
     def test_endpoint_only_paths_are_always_direct(self):
         rng = random.Random(515)
@@ -404,69 +399,80 @@ UNDET = PathClassification(Locality.UNDETERMINED, Directness.UNDETERMINED)
 
 class TestClassifyPair:
     def test_unanimous_in_country_direct(self):
-        verdict = classify_pair(A, B, 0.1, [("1", IN_DIRECT), ("2", IN_DIRECT)], covered=True)
+        verdict = classify_pair(A, B, 0.1, [("1", IN_DIRECT), ("2", IN_DIRECT)])
         assert verdict.locality is LocalityVerdict.IN_COUNTRY
         assert verdict.directness is DirectnessVerdict.DIRECT
 
     def test_locality_disagreement_is_inconsistent(self):
-        verdict = classify_pair(A, B, 0.1, [("1", IN_DIRECT), ("2", OUT_DIRECT)], covered=True)
+        verdict = classify_pair(A, B, 0.1, [("1", IN_DIRECT), ("2", OUT_DIRECT)])
         assert verdict.locality is LocalityVerdict.INCONSISTENT
         assert verdict.directness is DirectnessVerdict.DIRECT
 
     def test_directness_disagreement_is_mixed(self):
-        verdict = classify_pair(A, B, 0.1, [("1", IN_DIRECT), ("2", IN_INDIRECT)], covered=True)
+        verdict = classify_pair(A, B, 0.1, [("1", IN_DIRECT), ("2", IN_INDIRECT)])
         assert verdict.locality is LocalityVerdict.IN_COUNTRY
         assert verdict.directness is DirectnessVerdict.MIXED
 
     def test_undetermined_abstains(self):
-        verdict = classify_pair(A, B, 0.1, [("1", UNDET), ("2", IN_DIRECT)], covered=True)
+        verdict = classify_pair(A, B, 0.1, [("1", UNDET), ("2", IN_DIRECT)])
         assert verdict.locality is LocalityVerdict.IN_COUNTRY
         assert verdict.directness is DirectnessVerdict.DIRECT
 
     def test_only_undetermined_evidence(self):
-        verdict = classify_pair(A, B, 0.1, [("1", UNDET)], covered=True)
+        verdict = classify_pair(A, B, 0.1, [("1", UNDET)])
         assert verdict.locality is LocalityVerdict.UNDETERMINED
         assert verdict.directness is DirectnessVerdict.NOT_APPLICABLE
 
     def test_no_evidence_covered(self):
-        verdict = classify_pair(A, B, 0.1, [], covered=True)
+        verdict = classify_pair(A, B, 0.1, [])
         assert verdict.locality is LocalityVerdict.UNDETERMINED
         assert verdict.directness is DirectnessVerdict.NOT_APPLICABLE
 
     def test_uncovered_pair(self):
-        verdict = classify_pair(A, B, 0.1, [], covered=False)
+        # a pair without probes is never classified: it is the NoCoverage
+        # cell that build_matrix makes in place of classify_pair's verdict
+        verdict = CellVerdict(
+            A, B, LocalityVerdict.NO_COVERAGE, DirectnessVerdict.NOT_APPLICABLE, 0.1
+        )
         assert verdict.locality is LocalityVerdict.NO_COVERAGE
         assert verdict.directness is DirectnessVerdict.NOT_APPLICABLE
         assert verdict.evidence == ()
 
     def test_uncovered_with_evidence_rejected(self):
         with pytest.raises(ValueError, match="evidence"):
-            classify_pair(A, B, 0.1, [("1", IN_DIRECT)], covered=False)
+            CellVerdict(
+                A,
+                B,
+                LocalityVerdict.NO_COVERAGE,
+                DirectnessVerdict.NOT_APPLICABLE,
+                0.1,
+                (("1", IN_DIRECT),),
+            )
 
     def test_mixed_dimensions_are_independent(self):
         # locality splits while directness agrees, and vice versa
         verdict = classify_pair(
-            A, B, 0.1, [("1", IN_INDIRECT), ("2", OUT_DIRECT)], covered=True
+            A, B, 0.1, [("1", IN_INDIRECT), ("2", OUT_DIRECT)]
         )
         assert verdict.locality is LocalityVerdict.INCONSISTENT
         assert verdict.directness is DirectnessVerdict.MIXED
 
     def test_evidence_order_preserved(self):
         rows = [("9", IN_DIRECT), ("1", OUT_DIRECT), ("5", UNDET)]
-        verdict = classify_pair(A, B, 0.1, rows, covered=True)
+        verdict = classify_pair(A, B, 0.1, rows)
         assert [m for m, _ in verdict.evidence] == ["9", "1", "5"]
 
     def test_verdict_labels_permutation_invariant(self):
         rows = [("1", IN_DIRECT), ("2", IN_INDIRECT), ("3", UNDET), ("4", OUT_DIRECT)]
         rng = random.Random(88)
-        baseline = classify_pair(A, B, 0.1, rows, covered=True)
+        baseline = classify_pair(A, B, 0.1, rows)
         for _ in range(10):
             shuffled = rows[:]
             rng.shuffle(shuffled)
-            verdict = classify_pair(A, B, 0.1, shuffled, covered=True)
+            verdict = classify_pair(A, B, 0.1, shuffled)
             assert verdict.locality is baseline.locality
             assert verdict.directness is baseline.directness
 
     def test_area_weight_carried_through(self):
-        verdict = classify_pair(A, B, 0.125, [("1", IN_DIRECT)], covered=True)
+        verdict = classify_pair(A, B, 0.125, [("1", IN_DIRECT)])
         assert verdict.area_weight == 0.125

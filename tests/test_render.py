@@ -12,7 +12,6 @@ from eyeball_jedi.model import (
     PathClassification,
     Probe,
 )
-from eyeball_jedi.paths import classify_pair
 from eyeball_jedi.render import FILL, STROKE, render_svg
 from eyeball_jedi.selection import ProbeSelection
 
@@ -47,13 +46,9 @@ def make_selection(eyeball_set, covered_asns=None):
     return ProbeSelection(per_asn=per_asn)
 
 
-def build(fractions, verdict_specs, covered_asns=None):
+def build(fractions, evidence, covered_asns=None):
     es = make_set(fractions)
-    verdicts = {}
-    for (src, dst), evidence in verdict_specs.items():
-        weight = es.fraction_of(src) * es.fraction_of(dst)
-        verdicts[(src, dst)] = classify_pair(src, dst, weight, evidence, covered=True)
-    return build_matrix(es, make_selection(es, covered_asns), verdicts)
+    return build_matrix(es, make_selection(es, covered_asns), evidence)
 
 
 def rect_fills(svg):
