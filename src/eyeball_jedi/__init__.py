@@ -6,45 +6,4 @@ and classifies the resulting paths into an area-weighted AS-to-AS matrix
 of in/out-of-country and direct/indirect verdicts.
 """
 
-from .coverage import compute_probe_coverage, select_dominant_networks
-from .matrix import build_matrix, compute_metrics, summarize
-from .model import (
-    CellVerdict,
-    EyeballMatrix,
-    EyeballNetwork,
-    EyeballSet,
-    GeoPoint,
-    MetricsSummary,
-    PathClassification,
-    Probe,
-    Traceroute,
-)
-from .paths import classify_pair, classify_traceroute, extract_as_path
-from .render import render_svg
-from .selection import haversine_km, select_probes
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CellVerdict",
-    "EyeballMatrix",
-    "EyeballNetwork",
-    "EyeballSet",
-    "GeoPoint",
-    "MetricsSummary",
-    "PathClassification",
-    "Probe",
-    "Traceroute",
-    "build_matrix",
-    "classify_pair",
-    "classify_traceroute",
-    "compute_metrics",
-    "compute_probe_coverage",
-    "extract_as_path",
-    "haversine_km",
-    "render_svg",
-    "select_dominant_networks",
-    "select_probes",
-    "summarize",
-    "__version__",
-]

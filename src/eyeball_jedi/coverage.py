@@ -29,7 +29,7 @@ BUCKET_EDGES = (0.2, 0.4, 0.6, 0.8)
 @dataclass(frozen=True)
 class CoverageReport:
     eyeball_set: EyeballSet
-    probe_counts: dict[int, int]  # covered asn -> selectable probes in it
+    probe_counts: dict[int, int]  # covered asn -> probes in it
     covered_user_fraction: float
 
     def to_dict(self) -> dict:
@@ -92,14 +92,14 @@ def select_dominant_networks(
             break
         if cumulative >= cumulative_cap:
             break
-        admitted.append(EyeballNetwork.build(row.asn, country, fraction, country_users))
+        admitted.append(EyeballNetwork.build(row.asn, fraction, country_users))
         cumulative += fraction
     return EyeballSet.from_networks(country, country_users, capital, admitted)
 
 
 def compute_probe_coverage(eyeball_set: EyeballSet, probes: Iterable[Probe]) -> CoverageReport:
-    """Count the selectable probes in each of the set's networks that has any."""
-    counts = Counter(probe.asn_v4 for probe in probes if probe.selectable)
+    """Count the probes in each of the set's networks that has any."""
+    counts = Counter(probe.asn_v4 for probe in probes)
     covered = [net for net in eyeball_set.networks if counts[net.asn] > 0]
     return CoverageReport(
         eyeball_set=eyeball_set,

@@ -19,7 +19,7 @@ from typing import Any, Callable
 from urllib.parse import urlencode
 
 from .errors import HttpError, IngestError, PaginationLoop, RowParseError
-from .ingest import probe_from_dict, traceroute_from_dict
+from .ingest import traceroute_from_dict, usable_probes
 
 DEFAULT_RATE_LIMIT = 4.0
 #: seconds to wait for a connection or for the next bytes of a response
@@ -90,12 +90,13 @@ def fetch_probe_inventory(
     """Fetch the (optionally country-filtered) probe inventory, all pages.
 
     Pages are followed via each response's "next" URL until it is null.
-    Any non-200 page or invalid probe object aborts the whole fetch; a page
-    URL seen twice raises PaginationLoop.
+    Any non-200 page, invalid probe object or probe id repeated on any page
+    aborts the whole fetch; a page URL seen twice raises PaginationLoop.
     """
     query = f"?{urlencode({'country': country})}" if country else ""
     url = f"{base_url.rstrip('/')}/probes{query}"
     seen = set()
+    seen_ids: set[int] = set()
     probes: list[dict] = []
     while url:
         if url in seen:
@@ -105,8 +106,7 @@ def fetch_probe_inventory(
         page = payload.get("results", []) if isinstance(payload, dict) else None
         if not isinstance(page, list):
             raise RowParseError(f"probe page {url} has no results array")
-        for obj in page:
-            probe_from_dict(obj)
+        usable_probes(page, seen_ids)
         probes.extend(page)
         url = payload.get("next")
     return probes

@@ -10,6 +10,10 @@ Each parser raises an IngestError on the first bad record, naming its
 IngestError naming the first bad byte. probe_from_dict and
 traceroute_from_dict check one object each and raise only IngestError, so
 fetch validates server objects with them too.
+
+JSON is decoded by load_json and its values are checked by JSON type with
+_json and _json_number, never converted from another type; the matrix
+reader (matrix.load_matrix) uses the same three.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import ipaddress
 import json
 import logging
 import math
+import reprlib
 from csv import reader as csv_reader
 from dataclasses import dataclass
 
@@ -122,123 +127,154 @@ def parse_country_users(data: str | bytes) -> dict[str, int]:
     return users
 
 
-def _json_int(obj: dict, key: str) -> int:
-    """obj[key] when it is a JSON integer; a bool or a float is not one."""
+_JSON_TYPES = {int: "an integer", bool: "a boolean", str: "a string", list: "an array"}
+
+
+def _json(obj: dict, key: str, kind: type):
+    """obj[key] when its JSON type is kind: a bool is not an integer, a float not one either."""
     value = obj[key]
-    if type(value) is not int:
-        raise ValueError(f"{key} is not an integer: {value!r}")
+    if type(value) is not kind:
+        raise ValueError(f"{key} is not {_JSON_TYPES[kind]}: {reprlib.repr(value)}")
     return value
 
 
-def probe_from_dict(obj: dict) -> Probe:
-    """Build a Probe from one inventory object; missing optionals stay absent.
+def _json_number(obj: dict, key: str) -> float:
+    """obj[key] when it is a finite JSON number; a bool is not one."""
+    value = obj[key]
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{key} is not a finite number: {reprlib.repr(value)}")
+    return float(value)
 
-    asn_v6 is checked but not kept: the analysis reads only IPv4 fields.
+
+def load_json(data: str | bytes, line: int | None = None):
+    """Decode one JSON document; line numbers an NDJSON line.
+
+    Bad syntax, nesting too deep for the decoder and an integer literal too
+    long to convert are each a JsonSyntaxError.
+    """
+    try:
+        return json.loads(_text(data))
+    except json.JSONDecodeError as exc:
+        raise JsonSyntaxError(exc.msg, line=line or exc.lineno) from exc
+    except RecursionError as exc:
+        raise JsonSyntaxError("nested too deeply", line=line) from exc
+    except ValueError as exc:
+        raise JsonSyntaxError(str(exc), line=line) from exc
+
+
+def probe_from_dict(obj: dict) -> Probe | None:
+    """Check one inventory object; the Probe if it is usable, else None.
+
+    A usable probe is public, "Connected", located, and has an asn_v4 and
+    an address_v4. asn_v6 is checked but not kept: the analysis reads only
+    IPv4 fields.
     """
     if not isinstance(obj, dict):
-        raise RowParseError(f"probe entry is not an object: {obj!r}")
+        raise RowParseError(f"probe entry is not an object: {reprlib.repr(obj)}")
     if "id" not in obj:
         raise MissingField("probe object missing 'id'")
     try:
-        probe_id = _json_int(obj, "id")
+        probe_id = _json(obj, "id", int)
         for required in ("is_public", "status"):
             if required not in obj:
                 raise MissingField(f"probe {probe_id} missing '{required}'")
-        if type(obj["is_public"]) is not bool:
-            raise ValueError(f"is_public is not a boolean: {obj['is_public']!r}")
-        lat = obj.get("latitude")
-        lon = obj.get("longitude")
-        for coordinate in (lat, lon):
-            if coordinate is not None and type(coordinate) not in (int, float):
-                raise ValueError(f"coordinate is not a number: {coordinate!r}")
-        location = GeoPoint(float(lat), float(lon)) if lat is not None and lon is not None else None
+        is_public = _json(obj, "is_public", bool)
+        connected = _json(obj, "status", str) == "Connected"
+        lat = _json_number(obj, "latitude") if obj.get("latitude") is not None else None
+        lon = _json_number(obj, "longitude") if obj.get("longitude") is not None else None
+        asn_v4 = check_asn(_json(obj, "asn_v4", int)) if obj.get("asn_v4") is not None else None
+        if obj.get("asn_v6") is not None:
+            check_asn(_json(obj, "asn_v6", int))
         address = obj.get("address_v4")
         if address is not None:
-            if type(address) is not str:
-                raise ValueError(f"address_v4 is not a string: {address!r}")
-            address = str(ipaddress.IPv4Address(address))
-        asn_v4 = check_asn(obj["asn_v4"]) if obj.get("asn_v4") is not None else None
-        if obj.get("asn_v6") is not None:
-            check_asn(obj["asn_v6"])
-        return Probe(
-            id=probe_id,
-            asn_v4=asn_v4,
-            location=location,
-            public_address_v4=address,
-            is_public=obj["is_public"],
-            is_connected=obj["status"] == "Connected",
-        )
+            address = str(ipaddress.IPv4Address(_json(obj, "address_v4", str)))
+        if not (is_public and connected) or None in (lat, lon, asn_v4, address):
+            return None
+        return Probe(probe_id, asn_v4, GeoPoint(lat, lon), address)
     except (TypeError, ValueError, OverflowError) as exc:
         raise RowParseError(str(exc)) from exc
 
 
+def usable_probes(objs: list, seen: set[int]) -> list[Probe]:
+    """Check every probe object and keep the usable probes.
+
+    An id may appear once: seen holds the ids already read, including
+    those of unusable probes, and gains every id checked here.
+    """
+    probes = []
+    for obj in objs:
+        probe = probe_from_dict(obj)
+        if obj["id"] in seen:
+            raise RowParseError(f"probe id {obj['id']} repeated")
+        seen.add(obj["id"])
+        if probe is not None:
+            probes.append(probe)
+    return probes
+
+
 def parse_probe_inventory(data: str | bytes) -> list[Probe]:
-    """Read the probe inventory (JSON array of probe objects)."""
-    try:
-        raw = json.loads(_text(data))
-    except json.JSONDecodeError as exc:
-        raise JsonSyntaxError(exc.msg, line=exc.lineno) from exc
+    """Read the probe inventory (JSON array of probe objects); keep the usable probes."""
+    raw = load_json(data)
     if not isinstance(raw, list):
         raise JsonSyntaxError("probe inventory must be a JSON array")
-    return [probe_from_dict(obj) for obj in raw]
+    return usable_probes(raw, set())
 
 
 def traceroute_from_dict(obj: dict, line: int | None = None) -> Traceroute:
     """Build a Traceroute from one result object (one NDJSON line).
 
-    Hop indices must be JSON integers that increase, and each hop's
-    results must be an array of {"x": ...} or {"from": ..., "rtt": ...}
-    objects with rtt absent, null or a finite number that is not negative;
-    each hop keeps the address of its first reply that is not a timeout, or
-    None.
+    hops must be an array whose hop indices are JSON integers that
+    increase, and each hop's results an array of {"x": ...} or
+    {"from": ..., "rtt": ...} objects with rtt absent, null or a finite
+    number that is not negative; each hop keeps the address of its first
+    reply that is not a timeout, or None.
     """
     if not isinstance(obj, dict):
-        raise RowParseError(f"traceroute entry is not an object: {obj!r}", line=line)
+        raise RowParseError(f"traceroute entry is not an object: {reprlib.repr(obj)}", line=line)
     for required in ("src_probe", "dst_probe", "src_asn", "dst_asn", "dst_addr", "af", "timestamp", "hops"):
         if required not in obj:
             raise MissingField(f"traceroute missing '{required}'", line=line)
     try:
         hops = []
         last_index = 0
-        for hop_obj in obj["hops"]:
+        for hop_obj in _json(obj, "hops", list):
             if "hop" not in hop_obj or "results" not in hop_obj:
                 raise RowParseError("hop object needs 'hop' and 'results'", line=line)
             index = hop_obj["hop"]
             if type(index) is not int:
-                raise RowParseError(f"hop index is not an integer: {index!r}", line=line)
+                raise RowParseError(f"hop index is not an integer: {reprlib.repr(index)}", line=line)
             if index <= last_index:
                 raise HopOrderError(f"hop index {index} after {last_index}", line=line)
             last_index = index
             results = hop_obj["results"]
             if type(results) is not list:
-                raise RowParseError(f"hop results are not an array: {results!r}", line=line)
+                raise RowParseError(f"hop results are not an array: {reprlib.repr(results)}", line=line)
             first = None
             for res in results:
                 if type(res) is not dict or ("x" not in res and "from" not in res):
-                    raise RowParseError(f"unrecognized hop result: {res!r}", line=line)
+                    raise RowParseError(f"unrecognized hop result: {reprlib.repr(res)}", line=line)
                 if "x" in res:
                     continue
                 rtt = res.get("rtt")
                 if rtt is not None:
                     if not (type(rtt) is int or type(rtt) is float and math.isfinite(rtt)):
-                        raise RowParseError(f"rtt is not a finite number: {rtt!r}", line=line)
+                        raise RowParseError(f"rtt is not a finite number: {reprlib.repr(rtt)}", line=line)
                     if rtt < 0:
                         raise RowParseError(f"negative rtt: {float(rtt)}", line=line)
                 address = res["from"]
                 if type(address) is not str:
-                    raise RowParseError(f"hop address is not a string: {address!r}", line=line)
+                    raise RowParseError(f"hop address is not a string: {reprlib.repr(address)}", line=line)
                 if first is None:
                     first = address
             hops.append(first)
-        if type(obj["dst_addr"]) is not str:
-            raise RowParseError(f"dst_addr is not a string: {obj['dst_addr']!r}", line=line)
+        _json(obj, "dst_addr", str)
         return Traceroute(
-            src_probe_id=_json_int(obj, "src_probe"),
-            dst_probe_id=_json_int(obj, "dst_probe"),
-            src_asn=obj["src_asn"],
-            dst_asn=obj["dst_asn"],
-            address_family=_json_int(obj, "af"),
-            timestamp=_json_int(obj, "timestamp"),
+            src_probe_id=_json(obj, "src_probe", int),
+            dst_probe_id=_json(obj, "dst_probe", int),
+            src_asn=_json(obj, "src_asn", int),
+            dst_asn=_json(obj, "dst_asn", int),
+            address_family=_json(obj, "af", int),
+            timestamp=_json(obj, "timestamp", int),
             hops=tuple(hops),
         )
     except (TypeError, ValueError, OverflowError) as exc:
@@ -251,11 +287,7 @@ def parse_traceroute_results(data: str | bytes) -> list[Traceroute]:
     for lineno, line in enumerate(_text(data).splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise JsonSyntaxError(exc.msg, line=lineno) from exc
-        traceroutes.append(traceroute_from_dict(obj, line=lineno))
+        traceroutes.append(traceroute_from_dict(load_json(line, lineno), line=lineno))
     return traceroutes
 
 

@@ -13,12 +13,17 @@ import json
 import math
 from typing import Mapping, Sequence
 
-from .errors import JsonSyntaxError, MalformedMatrix, UnknownAsnInVerdicts
+from .errors import MalformedMatrix, UnknownAsnInVerdicts
+from .ingest import _json, _json_number, load_json
 from .model import (
     CellVerdict,
+    Directness,
     DirectnessVerdict,
     EyeballMatrix,
+    EyeballNetwork,
     EyeballSet,
+    GeoPoint,
+    Locality,
     LocalityVerdict,
     MetricsSummary,
     PathClassification,
@@ -127,14 +132,51 @@ def format_matrix(matrix: EyeballMatrix) -> str:
 
 
 def load_matrix(text: str | bytes) -> EyeballMatrix:
-    """Read a format_matrix document; raise an IngestError if it is not one."""
+    """Read a format_matrix document; raise an IngestError if it is not one.
+
+    Every key that format_matrix writes is required, with the JSON type it
+    writes; nothing is converted, and a cell may appear once.
+    """
+    doc = load_json(text)
     try:
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-        return EyeballMatrix.from_dict(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise JsonSyntaxError(exc.msg, line=exc.lineno) from exc
-    except (KeyError, TypeError, ValueError) as exc:
+        capital = doc["capital"]
+        networks = [
+            EyeballNetwork(
+                _json(n, "asn", int), _json_number(n, "user_fraction"), _json(n, "estimated_users", int)
+            )
+            for n in _json(doc, "networks", list)
+        ]
+        eyeball_set = EyeballSet(
+            _json(doc, "country", str),
+            _json(doc, "country_users", int),
+            GeoPoint(_json_number(capital, "latitude"), _json_number(capital, "longitude")),
+            networks,
+            _json_number(doc, "covered_fraction"),
+        )
+        cells = {}
+        for c in _json(doc, "cells", list):
+            evidence = [
+                (
+                    _json(e, "measurement", str),
+                    PathClassification(
+                        Locality(_json(e, "locality", str)), Directness(_json(e, "directness", str))
+                    ),
+                )
+                for e in _json(c, "evidence", list)
+            ]
+            cell = CellVerdict(
+                _json(c, "src_asn", int),
+                _json(c, "dst_asn", int),
+                LocalityVerdict(_json(c, "locality", str)),
+                DirectnessVerdict(_json(c, "directness", str)),
+                _json_number(c, "area_weight"),
+                evidence,
+            )
+            if (cell.src_asn, cell.dst_asn) in cells:
+                raise ValueError(f"cell {(cell.src_asn, cell.dst_asn)} repeated")
+            cells[(cell.src_asn, cell.dst_asn)] = cell
+        return EyeballMatrix(eyeball_set, cells)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedMatrix(f"not a matrix document: {exc!r}") from exc
 
 

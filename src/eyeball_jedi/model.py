@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 ASN_MAX = 2**32 - 1
@@ -55,34 +55,27 @@ class GeoPoint:
     def to_dict(self) -> dict[str, float]:
         return {"latitude": self.latitude, "longitude": self.longitude}
 
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "GeoPoint":
-        return cls(latitude=float(d["latitude"]), longitude=float(d["longitude"]))
-
 
 @dataclass(frozen=True)
 class EyeballNetwork:
     """One user-facing AS of a country with its share of that country's users."""
 
     asn: int
-    country: str
     user_fraction: float
     estimated_users: int
 
     def __post_init__(self):
         check_asn(self.asn)
-        check_country_code(self.country)
         if not 0.0 <= self.user_fraction <= 1.0:
             raise ValueError(f"user_fraction out of [0,1]: {self.user_fraction}")
         if self.estimated_users < 0:
             raise ValueError("estimated_users must be non-negative")
 
     @classmethod
-    def build(cls, asn: int, country: str, user_fraction: float, country_users: int) -> "EyeballNetwork":
+    def build(cls, asn: int, user_fraction: float, country_users: int) -> "EyeballNetwork":
         """Derive estimated_users as floor(fraction * country users)."""
         return cls(
             asn=asn,
-            country=country,
             user_fraction=user_fraction,
             estimated_users=math.floor(user_fraction * country_users),
         )
@@ -117,8 +110,6 @@ class EyeballSet:
         object.__setattr__(self, "networks", tuple(self.networks))
         seen = set()
         for net in self.networks:
-            if net.country != self.country:
-                raise ValueError(f"network {net.asn} belongs to {net.country}, not {self.country}")
             if net.asn in seen:
                 raise ValueError(f"duplicate AS number in set: {net.asn}")
             seen.add(net.asn)
@@ -166,48 +157,15 @@ class EyeballSet:
             "networks": [n.to_dict() for n in self.networks],
         }
 
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "EyeballSet":
-        country = d["country"]
-        nets = tuple(
-            EyeballNetwork(
-                asn=int(n["asn"]),
-                country=country,
-                user_fraction=float(n["user_fraction"]),
-                estimated_users=int(n["estimated_users"]),
-            )
-            for n in d["networks"]
-        )
-        return cls(
-            country=country,
-            country_users=int(d["country_users"]),
-            capital=GeoPoint.from_dict(d["capital"]),
-            networks=nets,
-            covered_fraction=float(d["covered_fraction"]),
-        )
-
 
 @dataclass(frozen=True)
 class Probe:
-    """A measurement vantage point as reported by the probe inventory."""
+    """A usable IPv4 vantage point: public, connected, located and addressed."""
 
     id: int
-    asn_v4: int | None = None
-    location: GeoPoint | None = None
-    public_address_v4: str | None = None
-    is_public: bool = False
-    is_connected: bool = False
-
-    @property
-    def selectable(self) -> bool:
-        """Usable for IPv4 probe selection: public, connected, located, addressed."""
-        return (
-            self.is_public
-            and self.is_connected
-            and self.location is not None
-            and self.asn_v4 is not None
-            and self.public_address_v4 is not None
-        )
+    asn_v4: int
+    location: GeoPoint
+    public_address_v4: str
 
 
 @dataclass(frozen=True)
@@ -308,23 +266,6 @@ class CellVerdict:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "CellVerdict":
-        return cls(
-            src_asn=int(d["src_asn"]),
-            dst_asn=int(d["dst_asn"]),
-            locality=LocalityVerdict(d["locality"]),
-            directness=DirectnessVerdict(d["directness"]),
-            area_weight=float(d["area_weight"]),
-            evidence=tuple(
-                (
-                    e["measurement"],
-                    PathClassification(Locality(e["locality"]), Directness(e["directness"])),
-                )
-                for e in d.get("evidence", [])
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class EyeballMatrix:
@@ -367,15 +308,6 @@ class EyeballMatrix:
         d = self.eyeball_set.to_dict()
         d["cells"] = [c.to_dict() for c in self.ordered_cells()]
         return d
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "EyeballMatrix":
-        eyeball_set = EyeballSet.from_dict(d)
-        cells = {}
-        for cd in d["cells"]:
-            cell = CellVerdict.from_dict(cd)
-            cells[(cell.src_asn, cell.dst_asn)] = cell
-        return cls(eyeball_set=eyeball_set, cells=cells)
 
 
 @dataclass(frozen=True)

@@ -104,18 +104,17 @@ def _parse(config: RunConfig, key: str, parser):
 
 
 def in_country_probes(ws: Workspace, countries: list[str]) -> dict[str, list[Probe]]:
-    """Selectable probes located in each of the countries.
+    """The probes located in each of the countries.
 
     Each probe's public address is geolocated once when a geo table is
     loaded. Without one, AS membership is the only signal we have, so
-    every selectable probe goes to every country and the per-AS filters
-    downstream do the rest.
+    every probe goes to every country and the per-AS filters downstream do
+    the rest.
     """
-    selectable = [probe for probe in ws.probes if probe.selectable]
     if ws.geo_table is None:
-        return {country: selectable for country in countries}
+        return {country: ws.probes for country in countries}
     located: dict[str, list[Probe]] = {country: [] for country in countries}
-    for probe in selectable:
+    for probe in ws.probes:
         country = ws.geo_table.lookup(probe.public_address_v4)
         if country in located:
             located[country].append(probe)

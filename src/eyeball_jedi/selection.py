@@ -44,8 +44,8 @@ class ProbeSelection:
 def select_probes(eyeball_set: EyeballSet, probes: Iterable[Probe]) -> ProbeSelection:
     """Pick the (closest, farthest) probe pair per member network.
 
-    Only selectable probes whose asn_v4 is a member network count; callers
-    are expected to have filtered the list to probes located in the target
+    Only probes whose asn_v4 is a member network count; callers are
+    expected to have filtered the list to probes located in the target
     country. Ties on distance go to the lower probe id, for both roles, so
     the result is independent of input order. Networks with no usable probe
     are simply absent from the result.
@@ -54,7 +54,7 @@ def select_probes(eyeball_set: EyeballSet, probes: Iterable[Probe]) -> ProbeSele
     member_asns = set(eyeball_set.asns)
     by_asn: dict[int, list[tuple[float, Probe]]] = {}
     for probe in probes:
-        if not probe.selectable or probe.asn_v4 not in member_asns:
+        if probe.asn_v4 not in member_asns:
             continue
         by_asn.setdefault(probe.asn_v4, []).append((haversine_km(probe.location, capital), probe))
     per_asn = {}

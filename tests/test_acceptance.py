@@ -72,7 +72,7 @@ def _random_matrix(rng):
     total = rng.uniform(0.2, 1.0)
     scale = total / sum(raw)
     nets = [
-        EyeballNetwork.build(65001 + i, "XX", raw[i] * scale, 50_000_000)
+        EyeballNetwork.build(65001 + i, raw[i] * scale, 50_000_000)
         for i in range(n)
     ]
     eyeball_set = EyeballSet.from_networks("XX", 50_000_000, CAPITAL, nets)

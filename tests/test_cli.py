@@ -31,14 +31,12 @@ def make_probe(probe_id, asn, address):
         asn_v4=asn,
         location=CAPITAL,
         public_address_v4=address,
-        is_public=True,
-        is_connected=True,
     )
 
 
 def make_set(fraction_by_asn):
     nets = [
-        EyeballNetwork.build(asn, "XX", f, 10_000_000)
+        EyeballNetwork.build(asn, f, 10_000_000)
         for asn, f in fraction_by_asn.items()
     ]
     return EyeballSet.from_networks("XX", 10_000_000, CAPITAL, nets)
@@ -245,6 +243,48 @@ class TestRenderCommand:
         assert main(["render", "--config", str(conf), "--all"]) == EXIT_INPUT
         assert "no matrix_" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"asn": 65001,', '"asn": 65001.5,'),
+            ('"asn": 65001,', '"asn": "65001",'),
+            ('"country_users": 10000000,', '"country_users": 1000.7,'),
+            ('"estimated_users": 4000000', '"estimated_users": 1.9'),
+            ('"src_asn": 65001,', '"src_asn": "65001",'),
+            ('"area_weight": 0.16000000000000003,', '"area_weight": "0.16000000000000003",'),
+            ('"country_users": 10000000,', '"country_users": 1e400,'),
+            ('"latitude": 50.0,', '"latitude": true,'),
+            (',\n      "evidence": []', ""),
+        ],
+        ids=[
+            "float-asn",
+            "string-asn",
+            "float-country-users",
+            "float-estimated-users",
+            "string-src-asn",
+            "string-area-weight",
+            "overflowing-country-users",
+            "bool-latitude",
+            "missing-evidence",
+        ],
+    )
+    def test_mistyped_matrix_value_exits_two(self, conf, out_dir, golden_dir, capsys, old, new):
+        text = (golden_dir / "matrix_XX.json").read_text(encoding="utf-8")
+        assert old in text
+        out_dir.mkdir(parents=True)
+        (out_dir / "matrix_XX.json").write_text(text.replace(old, new, 1), encoding="utf-8")
+        assert main(["render", "--config", str(conf), "--country", "XX"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {out_dir / 'matrix_XX.json'}: ")
+        assert not (out_dir / "matrix_XX.svg").exists()
+
+    def test_repeated_cell_exits_two(self, conf, out_dir, golden_dir, capsys):
+        doc = json.loads((golden_dir / "matrix_XX.json").read_text(encoding="utf-8"))
+        doc["cells"].append(doc["cells"][0])
+        out_dir.mkdir(parents=True)
+        (out_dir / "matrix_XX.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["render", "--config", str(conf), "--country", "XX"]) == EXIT_INPUT
+        assert "repeated" in capsys.readouterr().err
+
 
 class TestFetchCommand:
     def test_requires_base_url(self, conf, capsys):
@@ -306,12 +346,16 @@ class TestFetchCommand:
         conf, probes_path, traces_path = fetch_conf(measurement_ids="11,22")
         assert main(["fetch", "--config", str(conf), "--country", "XX"]) == EXIT_OK
         assert json.loads(probes_path.read_text(encoding="utf-8")) == probes
-        assert parse_probe_inventory(probes_path.read_bytes()) == [probe_from_dict(p) for p in probes]
+        assert parse_probe_inventory(probes_path.read_bytes()) == [probe_from_dict(probes[0])]
         lines = traces_path.read_text(encoding="utf-8").splitlines()
         assert [json.loads(line) for line in lines] == runs
         assert parse_traceroute_results(traces_path.read_bytes()) == [traceroute_from_dict(r) for r in runs]
 
-    @pytest.mark.parametrize("bad", [{**probe_obj(2), "asn_v4": "abc"}, 5], ids=["bad-asn", "not-an-object"])
+    @pytest.mark.parametrize(
+        "bad",
+        [{**probe_obj(2), "asn_v4": "abc"}, 5, {**probe_obj(1), "is_public": False}],
+        ids=["bad-asn", "not-an-object", "repeated-id"],
+    )
     def test_bad_server_object_exits_two(self, fetch_conf, monkeypatch, capsys, bad):
         serve(monkeypatch, {f"{BASE}/probes?country=XX": {"results": [probe_obj(1), bad], "next": None}})
         conf, probes_path, _ = fetch_conf()
@@ -456,6 +500,30 @@ class TestErrorHandling:
         assert main(["analyze", "--config", str(conf), "--country", "XX"]) == EXIT_INPUT
         bad_line = text.count("\n") + 1
         assert f"error: traceroutes input {broken}: line {bad_line}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["probes", "traceroutes", "matrix"])
+    def test_too_deep_json_exits_two(self, tmp_path, fixtures_dir, out_dir, capsys, name):
+        deep = "[" * 5000 + "]" * 5000
+        broken = tmp_path / "broken.json"
+        overrides = {}
+        if name == "probes":
+            broken.write_text(deep, encoding="utf-8")
+            overrides["probes"] = broken
+            command, where = "coverage", f"probes input {broken}: nested too deeply"
+        elif name == "traceroutes":
+            text = (fixtures_dir / "traceroutes.ndjson").read_text(encoding="utf-8")
+            broken.write_text(text + deep + "\n", encoding="utf-8")
+            overrides["traceroutes"] = broken
+            line = text.count("\n") + 1
+            command, where = "analyze", f"traceroutes input {broken}: line {line}: nested too deeply"
+        else:
+            out_dir.mkdir(parents=True)
+            (out_dir / "matrix_XX.json").write_text(deep, encoding="utf-8")
+            command, where = "render", f"{out_dir / 'matrix_XX.json'}: nested too deeply"
+        conf = write_conf(tmp_path, fixtures_dir, out_dir, **overrides)
+        assert main([command, "--config", str(conf), "--country", "XX"]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {where}\n"
+        assert not out_dir.exists() or [p.name for p in out_dir.iterdir()] in ([], ["matrix_XX.json"])
 
     def test_bad_cap_override(self, conf, capsys):
         assert main(["coverage", "--config", str(conf), "--all", "--cap", "1.5"]) == EXIT_INPUT

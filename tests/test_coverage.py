@@ -24,15 +24,8 @@ def rows(percents, country="XX", first_asn=65001):
     ]
 
 
-def probe(pid, asn, selectable=True):
-    return Probe(
-        id=pid,
-        asn_v4=asn,
-        location=CAPITAL if selectable else None,
-        public_address_v4="20.1.0.1",
-        is_public=True,
-        is_connected=True,
-    )
+def probe(pid, asn):
+    return Probe(id=pid, asn_v4=asn, location=CAPITAL, public_address_v4="20.1.0.1")
 
 
 class TestSelectDominantNetworks:
@@ -138,15 +131,9 @@ class TestComputeProbeCoverage:
         assert report.probe_counts == {65001: 1}
         assert abs(report.covered_user_fraction - 0.25) < 1e-9
 
-    def test_non_selectable_probes_do_not_cover(self):
-        es = select_dominant_networks(rows([100.0]), 1_000_000, CAPITAL)
-        report = compute_probe_coverage(es, [probe(1, 65001, selectable=False)])
-        assert report.probe_counts == {}
-        assert report.covered_user_fraction == 0.0
-
     def test_partition_and_exact_user_sums(self):
         es = select_dominant_networks(rows([40.0, 25.0, 20.0, 11.0]), 9_999_999, CAPITAL)
-        probes = [probe(1, 65001), probe(2, 65001), probe(3, 65003, selectable=False), probe(4, 65004)]
+        probes = [probe(1, 65001), probe(2, 65001), probe(4, 65004)]
         report = compute_probe_coverage(es, probes)
         assert report.probe_counts == {65001: 2, 65004: 1}
         networks = report.to_dict()["networks"]

@@ -159,6 +159,25 @@ class TestFetchProbeInventory:
         with pytest.raises(error):
             fetch_probe_inventory(BASE, client=client)
 
+    @pytest.mark.parametrize(
+        "second",
+        [probe_obj(1, asn=65002), {**probe_obj(1), "status": "Disconnected"}],
+        ids=["usable", "unusable"],
+    )
+    @pytest.mark.parametrize("same_page", [True, False], ids=["one-page", "two-pages"])
+    def test_repeated_probe_id_aborts_whole_fetch(self, second, same_page):
+        page2_url = f"{BASE}/probes?page=2"
+        if same_page:
+            routes = {f"{BASE}/probes": {"results": [probe_obj(1), second], "next": None}}
+        else:
+            routes = {
+                f"{BASE}/probes": {"results": [probe_obj(1)], "next": page2_url},
+                page2_url: {"results": [probe_obj(2), second], "next": None},
+            }
+        client, _ = make_client(routes)
+        with pytest.raises(RowParseError, match="probe id 1 repeated"):
+            fetch_probe_inventory(BASE, client=client)
+
     @pytest.mark.parametrize("page", [[probe_obj(1)], {"results": 5}, None])
     def test_page_without_results_array_is_a_row_error(self, page):
         client, _ = make_client({f"{BASE}/probes": page})

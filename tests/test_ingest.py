@@ -27,7 +27,15 @@ from eyeball_jedi.ingest import (
     probe_from_dict,
     traceroute_from_dict,
 )
-from eyeball_jedi.model import GeoPoint
+from eyeball_jedi.model import GeoPoint, Probe
+
+
+def nested(depth):
+    """A list nested depth levels deep, built without the JSON decoder."""
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
 
 
 class TestPopulation:
@@ -110,8 +118,7 @@ class TestProbeInventory:
         }
 
     def test_full_probe(self):
-        probe = probe_from_dict(self.full())
-        assert probe.id == 7 and probe.selectable
+        assert probe_from_dict(self.full()) == Probe(7, 65001, GeoPoint(50.0, 8.0), "20.1.0.1")
 
     def test_missing_id_rejected(self):
         obj = self.full()
@@ -122,12 +129,52 @@ class TestProbeInventory:
     def test_partial_location_means_no_location(self):
         obj = self.full()
         obj["longitude"] = None
-        assert probe_from_dict(obj).location is None
+        assert probe_from_dict(obj) is None
 
     def test_disconnected_status(self):
         obj = self.full()
         obj["status"] = "Disconnected"
-        assert not probe_from_dict(obj).is_connected
+        assert probe_from_dict(obj) is None
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"is_public": False},
+            {"status": "Abandoned"},
+            {"latitude": None},
+            {"asn_v4": None},
+            {"address_v4": None},
+        ],
+    )
+    def test_unusable_probe_is_dropped(self, change):
+        """A valid probe that cannot serve IPv4 selection is checked, then left out."""
+        assert probe_from_dict({**self.full(), **change}) is None
+        kept = {**self.full(), "id": 8}
+        inventory = json.dumps([{**self.full(), **change}, kept])
+        assert parse_probe_inventory(inventory) == [probe_from_dict(kept)]
+
+    def test_fields_of_an_unusable_probe_are_still_checked(self):
+        with pytest.raises(RowParseError, match="asn_v4"):
+            probe_from_dict({**self.full(), "is_public": False, "asn_v4": "65001"})
+        with pytest.raises(RowParseError, match="status"):
+            probe_from_dict({**self.full(), "is_public": False, "status": 1})
+
+    @pytest.mark.parametrize("second", [{}, {"is_public": False}], ids=["usable", "unusable"])
+    def test_repeated_id_is_an_error(self, second):
+        inventory = json.dumps([self.full(), {**self.full(), "asn_v4": 65002, **second}])
+        with pytest.raises(RowParseError, match="probe id 7 repeated"):
+            parse_probe_inventory(inventory)
+
+    def test_too_deep_inventory_is_a_syntax_error(self):
+        with pytest.raises(JsonSyntaxError, match="nested too deeply"):
+            parse_probe_inventory("[" * 5000 + "]" * 5000)
+
+    @pytest.mark.parametrize("change", [None, "id", "asn_v4", "latitude", "address_v4"])
+    def test_deeply_nested_value_is_a_row_error(self, change):
+        """The message shows a deeply nested value without recursing through it."""
+        obj = nested(5000) if change is None else {**self.full(), change: nested(5000)}
+        with pytest.raises(RowParseError):
+            probe_from_dict(obj)
 
     def test_invalid_address_rejected(self):
         obj = self.full()
@@ -216,6 +263,22 @@ class TestTraceroutes:
             parse_traceroute_results(self.LINE + "\n{not json}\n" + self.LINE + "\n")
         assert exc.value.line == 2
 
+    def test_too_deep_line_is_a_syntax_error_at_its_line(self):
+        with pytest.raises(JsonSyntaxError, match="line 2: nested too deeply"):
+            parse_traceroute_results(self.LINE + "\n" + "[" * 5000 + "]" * 5000 + "\n")
+
+    def test_overlong_integer_is_a_syntax_error_at_its_line(self):
+        bad = self.LINE.replace('"timestamp":1700000000', '"timestamp":' + "1" * 5000)
+        with pytest.raises(JsonSyntaxError) as exc:
+            parse_traceroute_results(self.LINE + "\n" + bad + "\n")
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("field", ["src_asn", "timestamp", "dst_addr", "hops"])
+    def test_deeply_nested_value_is_a_row_error(self, field):
+        obj = {**json.loads(self.LINE), field: nested(5000)}
+        with pytest.raises(RowParseError, match="line 3"):
+            traceroute_from_dict(obj, line=3)
+
     def test_infinite_integer_field_is_a_row_error(self):
         bad = self.LINE.replace('"timestamp":1700000000', '"timestamp":Infinity')
         with pytest.raises(RowParseError, match="line 1: timestamp is not an integer: inf"):
@@ -257,6 +320,8 @@ class TestTraceroutes:
             pytest.param('[{"hop":true,"results":[{"x":"*"}]}]', RowParseError, id="bool-hop-index"),
             pytest.param('[{"hop":"2","results":[{"x":"*"}]}]', RowParseError, id="numeric-string-hop-index"),
             pytest.param('[{"hop":1,"results":[{"from":123,"rtt":1.0}]}]', RowParseError, id="numeric-from"),
+            pytest.param("{}", RowParseError, id="hops-object"),
+            pytest.param('"hop results"', RowParseError, id="hops-string"),
         ],
     )
     def test_edge_forms(self, hops, outcome):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 from oracles import (
@@ -34,6 +35,7 @@ from eyeball_jedi.model import (
 from eyeball_jedi.selection import ProbeSelection
 
 CAPITAL = GeoPoint(50.0, 8.0)
+FIXTURES = Path(__file__).parent / "fixtures"
 
 IN_DIRECT = PathClassification(Locality.IN_COUNTRY, Directness.DIRECT)
 IN_INDIRECT = PathClassification(Locality.IN_COUNTRY, Directness.INDIRECT)
@@ -42,7 +44,7 @@ OUT_DIRECT = PathClassification(Locality.OUT_OF_COUNTRY, Directness.DIRECT)
 
 def make_set(fractions, country="XX", first_asn=65001):
     nets = [
-        EyeballNetwork.build(first_asn + i, country, f, 10_000_000)
+        EyeballNetwork.build(first_asn + i, f, 10_000_000)
         for i, f in enumerate(fractions)
     ]
     return EyeballSet.from_networks(country, 10_000_000, CAPITAL, nets)
@@ -58,8 +60,6 @@ def make_selection(eyeball_set, covered_asns=None):
             asn_v4=asn,
             location=CAPITAL,
             public_address_v4="20.1.0.1",
-            is_public=True,
-            is_connected=True,
         )
         per_asn[asn] = (probe, probe)
     return ProbeSelection(per_asn=per_asn)
@@ -304,3 +304,9 @@ class TestFormatting:
         es = make_set([1.0])
         matrix = build_matrix(es, make_selection(es), {})
         assert load_matrix(format_matrix(matrix).encode()) == matrix
+
+    @pytest.mark.parametrize(
+        "path", sorted(FIXTURES.glob("golden*/matrix_*.json")), ids=lambda p: f"{p.parent.name}/{p.name}"
+    )
+    def test_golden_matrix_reads_back_byte_for_byte(self, path):
+        assert format_matrix(load_matrix(path.read_bytes())) == path.read_text(encoding="utf-8")

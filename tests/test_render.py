@@ -24,7 +24,7 @@ OUT_DIRECT = PathClassification(Locality.OUT_OF_COUNTRY, Directness.DIRECT)
 
 def make_set(fractions):
     nets = [
-        EyeballNetwork.build(65001 + i, "XX", f, 10_000_000)
+        EyeballNetwork.build(65001 + i, f, 10_000_000)
         for i, f in enumerate(fractions)
     ]
     return EyeballSet.from_networks("XX", 10_000_000, CAPITAL, nets)
@@ -39,8 +39,6 @@ def make_selection(eyeball_set, covered_asns=None):
             asn_v4=asn,
             location=CAPITAL,
             public_address_v4="20.1.0.1",
-            is_public=True,
-            is_connected=True,
         )
         per_asn[asn] = (probe, probe)
     return ProbeSelection(per_asn=per_asn)

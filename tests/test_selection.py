@@ -23,8 +23,6 @@ def probe(pid, asn, lat, lon):
         asn_v4=asn,
         location=GeoPoint(lat, lon),
         public_address_v4=f"20.0.{pid % 256}.1",
-        is_public=True,
-        is_connected=True,
     )
 
 
@@ -114,19 +112,6 @@ class TestSelectProbes:
         es = eyeball_set((60.0, 40.0))
         sel = select_probes(es, [probe(1, 65001, 50.1, 8.1)])
         assert set(sel.per_asn) == {65001}
-
-    def test_non_selectable_ignored(self):
-        es = eyeball_set((100.0,))
-        hidden = Probe(
-            id=9,
-            asn_v4=65001,
-            location=GeoPoint(50.0, 8.0),
-            public_address_v4="20.0.9.1",
-            is_public=False,
-            is_connected=True,
-        )
-        sel = select_probes(es, [hidden])
-        assert sel.per_asn == {}
 
     def test_non_member_asn_ignored(self):
         es = eyeball_set((100.0,))
