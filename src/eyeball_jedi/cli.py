@@ -1,11 +1,11 @@
 """Command-line entry point.
 
-Five subcommands share one flag set:
+Each subcommand takes only the flags it reads:
 
-  eyeball-jedi coverage --config run.conf --all
-  eyeball-jedi plan     --config run.conf --country DE
-  eyeball-jedi analyze  --config run.conf --country DE --out results/
-  eyeball-jedi render   --config run.conf --country DE
+  eyeball-jedi coverage --config run.conf --all [--out DIR] [--cap F] [--floor F]
+  eyeball-jedi plan     --config run.conf --country DE [--out DIR] [--cap F] [--floor F]
+  eyeball-jedi analyze  --config run.conf --country DE [--out DIR] [--cap F] [--floor F]
+  eyeball-jedi render   --config run.conf --country DE [--out DIR]
   eyeball-jedi fetch    --config run.conf --country DE
 
 Exit codes: 0 success, 2 bad configuration or unreadable/invalid inputs,
@@ -40,24 +40,27 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="eyeball-jedi",
         description="Country-level eyeball connectivity: coverage, plans, matrices.",
     )
+    parser.set_defaults(out=None, cap=None, floor=None)
+    common = argparse.ArgumentParser(add_help=False)
+    scope = common.add_mutually_exclusive_group()
+    scope.add_argument("--country", metavar="CC", help="two-letter country code")
+    scope.add_argument("--all", action="store_true", help="every country present in the inputs")
+    common.add_argument("--config", metavar="PATH", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="DIR", help="output directory")
+    thresholds = argparse.ArgumentParser(add_help=False)
+    thresholds.add_argument("--cap", type=float, metavar="F", help="cumulative user-share cap")
+    thresholds.add_argument("--floor", type=float, metavar="F", help="per-AS user-share floor")
+    selecting = [common, out, thresholds]
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("coverage", "report probe coverage of each country's eyeball networks"),
-        ("plan", "emit traceroute measurement plans for covered networks"),
-        ("analyze", "classify traceroutes into per-country matrices and metrics"),
-        ("render", "draw matrix_<CC>.json files as SVG heatmaps"),
-        ("fetch", "download probe inventory and measurement results"),
+    for name, help_text, parents in [
+        ("coverage", "report probe coverage of each country's eyeball networks", selecting),
+        ("plan", "emit traceroute measurement plans for covered networks", selecting),
+        ("analyze", "classify traceroutes into per-country matrices and metrics", selecting),
+        ("render", "draw matrix_<CC>.json files as SVG heatmaps", [common, out]),
+        ("fetch", "download probe inventory and measurement results", [common]),
     ]:
-        cmd = sub.add_parser(name, help=help_text)
-        scope = cmd.add_mutually_exclusive_group()
-        scope.add_argument("--country", metavar="CC", help="two-letter country code")
-        scope.add_argument(
-            "--all", action="store_true", help="every country present in the inputs"
-        )
-        cmd.add_argument("--config", metavar="PATH", required=True)
-        cmd.add_argument("--out", metavar="DIR", help="output directory")
-        cmd.add_argument("--cap", type=float, metavar="F", help="cumulative user-share cap")
-        cmd.add_argument("--floor", type=float, metavar="F", help="per-AS user-share floor")
+        sub.add_parser(name, help=help_text, parents=parents)
     return parser
 
 

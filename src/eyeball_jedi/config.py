@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .coverage import DEFAULT_CUMULATIVE_CAP, DEFAULT_PER_AS_FLOOR, check_thresholds
+from .coverage import DEFAULT_CUMULATIVE_CAP, DEFAULT_PER_AS_FLOOR
 from .errors import ConfigError
 from .fetch import DEFAULT_RATE_LIMIT
 
@@ -47,10 +47,11 @@ class RunConfig:
     measurement_ids: tuple[int, ...] = ()
 
     def validate_thresholds(self) -> None:
-        try:
-            check_thresholds(self.cumulative_cap, self.per_as_floor)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        """The one check of the selection thresholds and the rate limit."""
+        if not 0.0 < self.cumulative_cap <= 1.0:
+            raise ConfigError(f"cumulative_cap out of (0,1]: {self.cumulative_cap}")
+        if not 0.0 < self.per_as_floor <= 1.0:
+            raise ConfigError(f"per_as_floor out of (0,1]: {self.per_as_floor}")
         if self.rate_limit <= 0:
             raise ConfigError(f"rate_limit must be positive: {self.rate_limit}")
 

@@ -17,6 +17,7 @@ from typing import Iterable
 
 from .errors import EmptyInput
 from .ingest import PopulationEstimateRow
+from .matrix import eyeball_set_fields
 from .model import EyeballNetwork, EyeballSet, GeoPoint, Probe
 
 DEFAULT_CUMULATIVE_CAP = 0.95
@@ -32,31 +33,6 @@ class CoverageReport:
     probe_counts: dict[int, int]  # covered asn -> probes in it
     covered_user_fraction: float
 
-    def to_dict(self) -> dict:
-        return {
-            "country": self.eyeball_set.country,
-            "country_users": self.eyeball_set.country_users,
-            "capital": self.eyeball_set.capital.to_dict(),
-            "covered_fraction": self.eyeball_set.covered_fraction,
-            "covered_user_fraction": self.covered_user_fraction,
-            "networks": [
-                {
-                    **net.to_dict(),
-                    "covered": net.asn in self.probe_counts,
-                    "probe_count": self.probe_counts.get(net.asn, 0),
-                }
-                for net in self.eyeball_set.networks
-            ],
-        }
-
-
-def check_thresholds(cumulative_cap: float, per_as_floor: float) -> None:
-    """Raise ValueError unless both selection thresholds lie in (0,1]."""
-    if not 0.0 < cumulative_cap <= 1.0:
-        raise ValueError(f"cumulative_cap out of (0,1]: {cumulative_cap}")
-    if not 0.0 < per_as_floor <= 1.0:
-        raise ValueError(f"per_as_floor out of (0,1]: {per_as_floor}")
-
 
 def select_dominant_networks(
     rows: Iterable[PopulationEstimateRow],
@@ -69,14 +45,13 @@ def select_dominant_networks(
 
     Candidates are ranked by descending user fraction (ties by ascending AS
     number). Fractions arrive as percentages and are converted to [0,1]
-    here, exactly once. Raises EmptyInput when no rows are given and
-    ValueError for mixed-country rows, out-of-range thresholds, or candidate
-    fractions summing above 1.
+    here, exactly once. The thresholds are taken as given; RunConfig
+    validates them. Raises EmptyInput when no rows are given and ValueError
+    for mixed-country rows or candidate fractions summing above 1.
     """
     rows = list(rows)
     if not rows:
         raise EmptyInput("no population rows for selection")
-    check_thresholds(cumulative_cap, per_as_floor)
     country = rows[0].country
     if any(r.country != country for r in rows):
         raise ValueError("selection rows span multiple countries")
@@ -126,7 +101,16 @@ def coverage_world_report(reports: Iterable[CoverageReport]) -> list[tuple[str, 
 
 
 def format_coverage_report(report: CoverageReport) -> str:
-    return json.dumps(report.to_dict(), indent=2) + "\n"
+    """coverage_<CC>.json body: the eyeball set's fields, each network with its probes."""
+    counts = report.probe_counts
+    doc = eyeball_set_fields(report.eyeball_set)
+    networks = doc.pop("networks")
+    doc["covered_user_fraction"] = report.covered_user_fraction
+    doc["networks"] = [
+        {**net, "covered": net["asn"] in counts, "probe_count": counts.get(net["asn"], 0)}
+        for net in networks
+    ]
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def format_world_csv(rows: list[tuple[str, float, int]]) -> str:

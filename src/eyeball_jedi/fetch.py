@@ -90,8 +90,10 @@ def fetch_probe_inventory(
     """Fetch the (optionally country-filtered) probe inventory, all pages.
 
     Pages are followed via each response's "next" URL until it is null.
-    Any non-200 page, invalid probe object or probe id repeated on any page
-    aborts the whole fetch; a page URL seen twice raises PaginationLoop.
+    Any non-200 page, page without a "results" array or with a "next" that
+    is neither a string nor null, invalid probe object or probe id repeated
+    on any page aborts the whole fetch; a page URL seen twice raises
+    PaginationLoop.
     """
     query = f"?{urlencode({'country': country})}" if country else ""
     url = f"{base_url.rstrip('/')}/probes{query}"
@@ -103,12 +105,14 @@ def fetch_probe_inventory(
             raise PaginationLoop(f"page {url} repeats")
         seen.add(url)
         payload = client.get_json(url)
-        page = payload.get("results", []) if isinstance(payload, dict) else None
+        page = payload.get("results") if isinstance(payload, dict) else None
         if not isinstance(page, list):
             raise RowParseError(f"probe page {url} has no results array")
         usable_probes(page, seen_ids)
         probes.extend(page)
         url = payload.get("next")
+        if url is not None and type(url) is not str:
+            raise RowParseError("probe page has a next link that is neither a string nor null")
     return probes
 
 

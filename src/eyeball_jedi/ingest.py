@@ -282,9 +282,13 @@ def traceroute_from_dict(obj: dict, line: int | None = None) -> Traceroute:
 
 
 def parse_traceroute_results(data: str | bytes) -> list[Traceroute]:
-    """Read newline-delimited JSON traceroute results."""
+    """Read newline-delimited JSON traceroute results.
+
+    Lines end at "\n" only: a "\r" before it is JSON whitespace, and any
+    other line separator (U+2028, U+0085, ...) may stand inside a string.
+    """
     traceroutes = []
-    for lineno, line in enumerate(_text(data).splitlines(), start=1):
+    for lineno, line in enumerate(_text(data).split("\n"), start=1):
         if not line.strip():
             continue
         traceroutes.append(traceroute_from_dict(load_json(line, lineno), line=lineno))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .errors import MalformedMatrix, UnknownAsnInVerdicts
 from .ingest import _json, _json_number, load_json
@@ -126,9 +126,40 @@ def summarize(matrix: EyeballMatrix, metrics: MetricsSummary) -> list[str]:
     return lines
 
 
+def eyeball_set_fields(eyeball_set: EyeballSet) -> dict[str, Any]:
+    """The eyeball set's keys, which matrix_<CC>.json and coverage_<CC>.json share."""
+    capital = eyeball_set.capital
+    return {
+        "country": eyeball_set.country,
+        "country_users": eyeball_set.country_users,
+        "capital": {"latitude": capital.latitude, "longitude": capital.longitude},
+        "covered_fraction": eyeball_set.covered_fraction,
+        "networks": [
+            {"asn": n.asn, "user_fraction": n.user_fraction, "estimated_users": n.estimated_users}
+            for n in eyeball_set.networks
+        ],
+    }
+
+
 def format_matrix(matrix: EyeballMatrix) -> str:
-    """matrix_<CC>.json body."""
-    return json.dumps(matrix.to_dict(), indent=2) + "\n"
+    """matrix_<CC>.json body: the eyeball set's fields, then the cells row-major."""
+    doc = eyeball_set_fields(matrix.eyeball_set)
+    asns = matrix.eyeball_set.asns
+    doc["cells"] = [
+        {
+            "src_asn": cell.src_asn,
+            "dst_asn": cell.dst_asn,
+            "locality": cell.locality.value,
+            "directness": cell.directness.value,
+            "area_weight": cell.area_weight,
+            "evidence": [
+                {"measurement": mid, "locality": cls.locality.value, "directness": cls.directness.value}
+                for mid, cls in cell.evidence
+            ],
+        }
+        for cell in (matrix.cells[(s, d)] for s in asns for d in asns)
+    ]
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def load_matrix(text: str | bytes) -> EyeballMatrix:

@@ -13,7 +13,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Iterable, Mapping
 
 ASN_MAX = 2**32 - 1
 
@@ -52,9 +52,6 @@ class GeoPoint:
         if not -180.0 <= self.longitude <= 180.0:
             raise ValueError(f"longitude out of range: {self.longitude}")
 
-    def to_dict(self) -> dict[str, float]:
-        return {"latitude": self.latitude, "longitude": self.longitude}
-
 
 @dataclass(frozen=True)
 class EyeballNetwork:
@@ -79,13 +76,6 @@ class EyeballNetwork:
             user_fraction=user_fraction,
             estimated_users=math.floor(user_fraction * country_users),
         )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "asn": self.asn,
-            "user_fraction": self.user_fraction,
-            "estimated_users": self.estimated_users,
-        }
 
 
 @dataclass(frozen=True)
@@ -147,15 +137,6 @@ class EyeballSet:
     @property
     def asns(self) -> tuple[int, ...]:
         return tuple(n.asn for n in self.networks)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "country": self.country,
-            "country_users": self.country_users,
-            "capital": self.capital.to_dict(),
-            "covered_fraction": self.covered_fraction,
-            "networks": [n.to_dict() for n in self.networks],
-        }
 
 
 @dataclass(frozen=True)
@@ -227,9 +208,6 @@ class PathClassification:
     locality: Locality
     directness: Directness
 
-    def to_dict(self) -> dict[str, str]:
-        return {"locality": self.locality.value, "directness": self.directness.value}
-
 
 @dataclass(frozen=True)
 class CellVerdict:
@@ -253,18 +231,6 @@ class CellVerdict:
                 raise ValueError("NoCoverage cells must have directness NotApplicable")
             if self.evidence:
                 raise ValueError("NoCoverage cells must carry no evidence")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "src_asn": self.src_asn,
-            "dst_asn": self.dst_asn,
-            "locality": self.locality.value,
-            "directness": self.directness.value,
-            "area_weight": self.area_weight,
-            "evidence": [
-                {"measurement": mid, **cls.to_dict()} for mid, cls in self.evidence
-            ],
-        }
 
 
 @dataclass(frozen=True)
@@ -297,17 +263,6 @@ class EyeballMatrix:
 
     def cell(self, src_asn: int, dst_asn: int) -> CellVerdict:
         return self.cells[(src_asn, dst_asn)]
-
-    def ordered_cells(self) -> list[CellVerdict]:
-        """Cells in row-major matrix order (source major, destination minor)."""
-        asns = self.eyeball_set.asns
-        return [self.cells[(s, d)] for s in asns for d in asns]
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON form: the eyeball set's fields plus the cells in row-major order."""
-        d = self.eyeball_set.to_dict()
-        d["cells"] = [c.to_dict() for c in self.ordered_cells()]
-        return d
 
 
 @dataclass(frozen=True)

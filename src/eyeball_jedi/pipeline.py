@@ -68,28 +68,25 @@ class Workspace:
     users: dict[str, int]
     capitals: dict[str, GeoPoint]
     probes: list[Probe]
+    geo_table: LpmTable
     prefix_table: LpmTable | None = None
-    geo_table: LpmTable | None = None
     traceroutes: list[Traceroute] = field(default_factory=list)
 
 
 def load_workspace(config: RunConfig, with_traceroutes: bool = False) -> Workspace:
-    """Parse the inputs; traceroutes come with both tables they are read against."""
-    config.require_inputs("population", "country_users", "capitals", "probes")
+    """Parse the inputs; traceroutes come with the prefix table they are read against."""
+    config.require_inputs("population", "country_users", "capitals", "probes", "geo")
     ws = Workspace(
         population=_parse(config, "population", parse_population_estimates),
         users=_parse(config, "country_users", parse_country_users),
         capitals=_parse(config, "capitals", parse_capitals),
         probes=_parse(config, "probes", parse_probe_inventory),
+        geo_table=_parse(config, "geo", parse_geo_table),
     )
     if with_traceroutes:
-        config.require_inputs("prefix2as", "geo", "traceroutes")
+        config.require_inputs("prefix2as", "traceroutes")
         ws.prefix_table = _parse(config, "prefix2as", parse_prefix_table)
-        ws.geo_table = _parse(config, "geo", parse_geo_table)
         ws.traceroutes = _parse(config, "traceroutes", parse_traceroute_results)
-    elif config.geo is not None and config.geo.is_file():
-        # Optional for coverage/plan: used to keep only in-country probes.
-        ws.geo_table = _parse(config, "geo", parse_geo_table)
     return ws
 
 
@@ -106,13 +103,9 @@ def _parse(config: RunConfig, key: str, parser):
 def in_country_probes(ws: Workspace, countries: list[str]) -> dict[str, list[Probe]]:
     """The probes located in each of the countries.
 
-    Each probe's public address is geolocated once when a geo table is
-    loaded. Without one, AS membership is the only signal we have, so
-    every probe goes to every country and the per-AS filters downstream do
-    the rest.
+    A probe belongs to the country where the geo table places its public
+    address, looked up once per probe.
     """
-    if ws.geo_table is None:
-        return {country: ws.probes for country in countries}
     located: dict[str, list[Probe]] = {country: [] for country in countries}
     for probe in ws.probes:
         country = ws.geo_table.lookup(probe.public_address_v4)
@@ -209,27 +202,21 @@ class PlanTask:
 def build_plan(eyeball_set: EyeballSet, selection: ProbeSelection) -> list[PlanTask]:
     """Enumerate measurement tasks for every ordered covered pair.
 
-    Each pair contributes up to four tasks (closest/farthest on both
-    sides). Duplicate probe pairs collapse and a probe never targets
-    itself, so single-probe networks yield no diagonal task.
+    Each pair contributes one task per pair of its networks' distinct
+    selected probes, up to four. A probe never targets itself, so
+    single-probe networks yield no diagonal task.
     """
     covered = [n.asn for n in eyeball_set.networks if n.asn in selection.per_asn]
     tasks: list[PlanTask] = []
     for src_asn in covered:
-        src_close, src_far = selection.per_asn[src_asn]
-        src_probes = [src_close] if src_close.id == src_far.id else [src_close, src_far]
+        src_probes = selection.probes(src_asn)
         for dst_asn in covered:
-            dst_close, dst_far = selection.per_asn[dst_asn]
-            dst_probes = [dst_close] if dst_close.id == dst_far.id else [dst_close, dst_far]
-            seen: set[tuple[int, int]] = set()
             for src in src_probes:
-                for dst in dst_probes:
-                    if src.id == dst.id or (src.id, dst.id) in seen:
-                        continue
-                    seen.add((src.id, dst.id))
-                    tasks.append(
-                        PlanTask(src_asn, dst_asn, src.id, dst.id, dst.public_address_v4)
-                    )
+                for dst in selection.probes(dst_asn):
+                    if src.id != dst.id:
+                        tasks.append(
+                            PlanTask(src_asn, dst_asn, src.id, dst.id, dst.public_address_v4)
+                        )
     return tasks
 
 
@@ -253,6 +240,7 @@ def gather_evidence(
     resolver = HopResolver(prefix_table, geo_table)
     member_asns = scope.eyeball_set.asns
     selection = scope.selection
+    selected_ids = {asn: {p.id for p in selection.probes(asn)} for asn in selection.per_asn}
     evidence: dict[tuple[int, int], list[tuple[str, PathClassification]]] = {}
     warnings: list[str] = []
     matched = 0
@@ -268,8 +256,8 @@ def gather_evidence(
             warnings.append(f"{tr.measurement_id}: AS pair {pair} has no probe coverage")
             continue
         if (
-            tr.src_probe_id not in selection.probe_ids(tr.src_asn)
-            or tr.dst_probe_id not in selection.probe_ids(tr.dst_asn)
+            tr.src_probe_id not in selected_ids[tr.src_asn]
+            or tr.dst_probe_id not in selected_ids[tr.dst_asn]
         ):
             warnings.append(
                 f"{tr.measurement_id}: probes {tr.src_probe_id}->{tr.dst_probe_id} "

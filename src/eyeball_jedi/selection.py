@@ -34,11 +34,12 @@ class ProbeSelection:
     def __post_init__(self):
         object.__setattr__(self, "per_asn", dict(self.per_asn))
 
-    def probe_ids(self, asn: int) -> set[int]:
-        pair = self.per_asn.get(asn)
-        if pair is None:
-            return set()
-        return {pair[0].id, pair[1].id}
+    def probes(self, asn: int) -> list[Probe]:
+        """The network's distinct selected probes, closest first; none without coverage."""
+        if asn not in self.per_asn:
+            return []
+        closest, farthest = self.per_asn[asn]
+        return [closest] if closest.id == farthest.id else [closest, farthest]
 
 
 def select_probes(eyeball_set: EyeballSet, probes: Iterable[Probe]) -> ProbeSelection:

@@ -534,6 +534,23 @@ class TestErrorHandling:
             main(["coverage", "--config", str(conf), "--country", "XX", "--all"])
         assert exc_info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("render", "--cap"), ("render", "--floor"), ("fetch", "--cap"), ("fetch", "--out")],
+    )
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, conf, command, flag):
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--config", str(conf), "--all", flag, "0.5"])
+        assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize("command", ["coverage", "plan", "analyze"])
+    @pytest.mark.parametrize("geo", [None, "geo_typo.csv"])
+    def test_geo_is_required(self, tmp_path, fixtures_dir, out_dir, capsys, command, geo):
+        conf = write_conf(tmp_path, fixtures_dir, out_dir, geo=geo and fixtures_dir / geo)
+        assert main([command, "--config", str(conf), "--all"]) == EXIT_INPUT
+        assert "input 'geo'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_country_flag_is_case_insensitive(self, conf, out_dir):
         assert main(["coverage", "--config", str(conf), "--country", "xx"]) == EXIT_OK
         assert (out_dir / "coverage_XX.json").is_file()

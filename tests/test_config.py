@@ -101,7 +101,7 @@ class TestValidateThresholds:
         with pytest.raises(ConfigError, match="cumulative_cap"):
             RunConfig(cumulative_cap=cap).validate_thresholds()
 
-    @pytest.mark.parametrize("floor", [0.0, -0.5, 1.01])
+    @pytest.mark.parametrize("floor", [0.0, -0.1, -0.5, 1.01])
     def test_bad_floor(self, floor):
         with pytest.raises(ConfigError, match="per_as_floor"):
             RunConfig(per_as_floor=floor).validate_thresholds()

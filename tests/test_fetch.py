@@ -178,10 +178,18 @@ class TestFetchProbeInventory:
         with pytest.raises(RowParseError, match="probe id 1 repeated"):
             fetch_probe_inventory(BASE, client=client)
 
-    @pytest.mark.parametrize("page", [[probe_obj(1)], {"results": 5}, None])
+    @pytest.mark.parametrize(
+        "page", [[probe_obj(1)], {"results": 5}, None, {"detail": "oops", "next": None}]
+    )
     def test_page_without_results_array_is_a_row_error(self, page):
         client, _ = make_client({f"{BASE}/probes": page})
         with pytest.raises(RowParseError, match="results array"):
+            fetch_probe_inventory(BASE, client=client)
+
+    @pytest.mark.parametrize("link", [[1], {"a": 1}, 5])
+    def test_next_link_that_is_not_a_string_is_a_row_error(self, link):
+        client, _ = make_client({f"{BASE}/probes": {"results": [probe_obj(1)], "next": link}})
+        with pytest.raises(RowParseError, match="next link"):
             fetch_probe_inventory(BASE, client=client)
 
 

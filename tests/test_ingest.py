@@ -263,6 +263,22 @@ class TestTraceroutes:
             parse_traceroute_results(self.LINE + "\n{not json}\n" + self.LINE + "\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    @pytest.mark.parametrize(
+        "separator", ["\u2028", "\u2029", "\u0085"], ids=["U+2028", "U+2029", "U+0085"]
+    )
+    def test_other_line_separators_stay_inside_their_string(self, separator, newline):
+        odd = self.LINE.replace('"af":4', f'"note":"a{separator}b","af":4')
+        assert len(parse_traceroute_results(odd + newline + self.LINE + newline)) == 2
+        with pytest.raises(JsonSyntaxError) as exc:
+            parse_traceroute_results(newline.join([odd, self.LINE, "{not json}", ""]))
+        assert exc.value.line == 3
+
+    def test_raw_control_character_in_a_string_is_a_syntax_error_at_its_line(self):
+        odd = self.LINE.replace('"af":4', '"note":"a\x1cb","af":4')
+        with pytest.raises(JsonSyntaxError, match="line 2: Invalid control character"):
+            parse_traceroute_results(self.LINE + "\n" + odd + "\n")
+
     def test_too_deep_line_is_a_syntax_error_at_its_line(self):
         with pytest.raises(JsonSyntaxError, match="line 2: nested too deeply"):
             parse_traceroute_results(self.LINE + "\n" + "[" * 5000 + "]" * 5000 + "\n")

@@ -290,8 +290,8 @@ class TestResolveOnce:
         template = next(
             tr for tr in ws.traceroutes
             if tr.address_family == 4
-            and tr.src_probe_id in scope.selection.probe_ids(tr.src_asn)
-            and tr.dst_probe_id in scope.selection.probe_ids(tr.dst_asn)
+            and tr.src_probe_id in {p.id for p in scope.selection.probes(tr.src_asn)}
+            and tr.dst_probe_id in {p.id for p in scope.selection.probes(tr.dst_asn)}
         )
         run = dataclasses.replace(template, hops=tuple(fresh))
         _, _, matched = pipeline.gather_evidence(scope, [run], ws.prefix_table, ws.geo_table)

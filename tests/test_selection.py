@@ -118,11 +118,15 @@ class TestSelectProbes:
         sel = select_probes(es, [probe(1, 64999, 50.1, 8.1)])
         assert sel.per_asn == {}
 
-    def test_probe_ids_helper(self):
-        es = eyeball_set((100.0,))
-        sel = select_probes(es, [probe(1, 65001, 50.1, 8.1), probe(2, 65001, 52.0, 10.0)])
-        assert sel.probe_ids(65001) == {1, 2}
-        assert sel.probe_ids(65002) == set()
+    def test_probes_are_distinct_and_closest_first(self):
+        es = eyeball_set((60.0, 30.0, 10.0))
+        far = probe(1, 65001, 52.0, 10.0)
+        near = probe(2, 65001, 50.1, 8.1)
+        alone = probe(3, 65002, 50.1, 8.1)
+        sel = select_probes(es, [far, near, alone])
+        assert sel.probes(65001) == [near, far]
+        assert sel.probes(65002) == [alone]
+        assert sel.probes(65003) == []
 
 
 class TestFormatSelection:
